@@ -319,6 +319,8 @@ pub struct ModelRepository {
     /// Times the planner was actually invoked (artifact warm-load hits
     /// don't count) — the "restarted node never re-plans" machine check.
     planner_calls: AtomicU64,
+    /// Completed installs (see [`ModelRepository::catalog_epoch`]).
+    epoch: AtomicU64,
     /// Plans whose transformation latency exceeds `safeguard_ratio` × the
     /// scratch-load cost are rejected in favour of loading (1.0 = paper's
     /// behaviour; lower values make the safeguard more conservative).
@@ -438,6 +440,7 @@ impl ModelRepository {
             shard_bits: count.trailing_zeros(),
             install: Mutex::new(()),
             planner_calls: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
             safeguard_ratio: 1.0,
             overrun: OverrunGuard::new(3.0, 2),
             telemetry: RwLock::new(RepoTelemetry::resolve(&optimus_telemetry::global())),
@@ -478,6 +481,16 @@ impl ModelRepository {
     /// Number of decide-path lock stripes.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Number of registration batches installed so far. A model's graph,
+    /// and with it its chunking and its plans, can only change across an
+    /// install, so anything derived from the catalog may be cached for as
+    /// long as this value stands still (the serving workers' per-model
+    /// chunk lists are). Pairs with the `Release` increment that follows
+    /// an install's shard flush.
+    pub fn catalog_epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Times the planner has actually been invoked by this repository.
@@ -737,6 +750,9 @@ impl ModelRepository {
                     shard.apply(op);
                 }
             }
+            // After the flush, so a reader that sees the new epoch also
+            // sees every shard of this install.
+            self.epoch.fetch_add(1, Ordering::Release);
             break;
         }
         let telemetry = self.telemetry.read();
@@ -969,19 +985,10 @@ impl ModelRepository {
     /// Chunk split of the cached `src → dst` plan (see
     /// [`crate::plan_chunks`]): the payload chunks a store must fetch vs.
     /// the destination chunks reused from the source in place. `None`
-    /// when either model is unregistered or no plan is cached.
-    pub fn plan_chunks(
-        &self,
-        src: &str,
-        dst: &str,
-        chunk_bytes: u64,
-    ) -> Option<crate::chunks::PlanChunks> {
-        let (si, di) = self.resolve_pair(src, dst)?;
-        self.plan_chunks_by_id(si, di, chunk_bytes)
-    }
-
-    /// Id-keyed [`ModelRepository::plan_chunks`] (used by the simulator's
-    /// store-state precomputation).
+    /// when either model is unregistered or no plan is cached. Re-walks
+    /// the plan and re-fingerprints the destination's tensors on every
+    /// call: per-event callers cache the result (the simulator's store
+    /// state and the serving workers do).
     pub fn plan_chunks_by_id(
         &self,
         src: ModelId,
@@ -1139,6 +1146,7 @@ impl ModelRepository {
             shard_bits,
             install: Mutex::new(()),
             planner_calls: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
             safeguard_ratio: 1.0,
             overrun: OverrunGuard::new(3.0, 2),
             telemetry: RwLock::new(RepoTelemetry::resolve(&optimus_telemetry::global())),
@@ -1360,11 +1368,14 @@ mod tests {
                     repo.transform_latency(src, dst),
                     repo.transform_latency_by_id(si, di)
                 );
+                // The id-keyed chunk split is the split of the plan and
+                // destination graph the name-keyed getters return.
                 let chunk = 1 << 20;
-                assert_eq!(
-                    repo.plan_chunks(src, dst, chunk),
-                    repo.plan_chunks_by_id(si, di, chunk)
-                );
+                let by_name = repo.plan(src, dst).map(|plan| {
+                    let model = repo.model(dst).expect("registered");
+                    crate::chunks::plan_chunks(&plan, &model, chunk)
+                });
+                assert_eq!(by_name, repo.plan_chunks_by_id(si, di, chunk));
             }
         }
         assert!(repo.model_id("missing").is_none());

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use optimus_core::{execute_plan, ModelRepository, TransformDecision};
+use optimus_core::{execute_plan, ModelRepository, PlanChunks, TransformDecision};
 use optimus_model::tensor::Tensor;
 use optimus_model::{infer, InternKey, ModelGraph, ModelId};
 use optimus_predict::SpecCandidate;
@@ -80,9 +80,14 @@ pub(crate) struct WorkerStore {
     node_id: usize,
     store: NodeStore,
     chunk_bytes: u64,
-    /// Chunk lists are deterministic per registered model: compute once,
-    /// keyed by interned id.
-    model_chunks: HashMap<ModelId, Vec<ChunkRef>>,
+    /// Chunk lists and plan splits are deterministic per registered
+    /// model (pair): computed once, keyed by interned id, and dropped when
+    /// the repository installs a new registration batch
+    /// ([`ModelRepository::catalog_epoch`] moves) — a re-registered name
+    /// keeps its id but may carry different tensors.
+    model_chunks: HashMap<ModelId, Arc<[ChunkRef]>>,
+    plan_chunks: HashMap<(ModelId, ModelId), Arc<PlanChunks>>,
+    cached_epoch: u64,
     /// Resident-byte gauges for the three local tiers, warmest first:
     /// container, node memory, node disk.
     resident: [Gauge; 3],
@@ -118,6 +123,8 @@ impl WorkerStore {
             store,
             chunk_bytes: config.chunk_bytes,
             model_chunks: HashMap::new(),
+            plan_chunks: HashMap::new(),
+            cached_epoch: repo.catalog_epoch(),
             resident,
             dedup: metrics.gauge("optimus_store_dedup_ratio", &[("node", &node)]),
             hits: metrics.counter("optimus_store_chunk_hits_total", &[("node", &node)]),
@@ -128,17 +135,47 @@ impl WorkerStore {
         }
     }
 
-    fn chunks_of(&mut self, repo: &ModelRepository, id: ModelId) -> Vec<ChunkRef> {
-        if let Some(chunks) = self.model_chunks.get(&id) {
-            return chunks.clone();
+    /// Forget every cached chunking if the catalog changed under it.
+    fn revalidate(&mut self, repo: &ModelRepository) {
+        let epoch = repo.catalog_epoch();
+        if epoch != self.cached_epoch {
+            self.model_chunks.clear();
+            self.plan_chunks.clear();
+            self.cached_epoch = epoch;
         }
-        let chunks = repo
-            .model_name_of(id)
-            .and_then(|name| repo.model(&name))
-            .map(|m| model_chunks(&m, self.chunk_bytes))
-            .unwrap_or_default();
-        self.model_chunks.insert(id, chunks.clone());
-        chunks
+    }
+
+    fn chunks_of(&mut self, repo: &ModelRepository, id: ModelId) -> Arc<[ChunkRef]> {
+        self.revalidate(repo);
+        let chunk_bytes = self.chunk_bytes;
+        self.model_chunks
+            .entry(id)
+            .or_insert_with(|| {
+                repo.model_name_of(id)
+                    .and_then(|name| repo.model(&name))
+                    .map(|m| model_chunks(&m, chunk_bytes))
+                    .unwrap_or_default()
+                    .into()
+            })
+            .clone()
+    }
+
+    /// The cached `src → dst` plan's chunk split; `None` when the
+    /// repository holds no such plan (never cached, so a later install
+    /// that adds it is seen without waiting for the epoch).
+    fn plan_chunks_of(
+        &mut self,
+        repo: &ModelRepository,
+        src: ModelId,
+        dst: ModelId,
+    ) -> Option<Arc<PlanChunks>> {
+        self.revalidate(repo);
+        if let Some(pc) = self.plan_chunks.get(&(src, dst)) {
+            return Some(pc.clone());
+        }
+        let pc = Arc::new(repo.plan_chunks_by_id(src, dst, self.chunk_bytes)?);
+        self.plan_chunks.insert((src, dst), pc.clone());
+        Some(pc)
     }
 
     /// A cold start admits the full model.
@@ -150,7 +187,7 @@ impl WorkerStore {
     /// A transformation fetches only the cached plan's payload delta; the
     /// rest of the destination is synthesized in place from the donor.
     fn transform(&mut self, repo: &ModelRepository, src: ModelId, dst: ModelId) {
-        match repo.plan_chunks_by_id(src, dst, self.chunk_bytes) {
+        match self.plan_chunks_of(repo, src, dst) {
             Some(pc) => {
                 self.store.admit(&pc.fetched);
                 self.store.produce(&pc.reused);
@@ -838,4 +875,71 @@ fn obtain_container(
         transform_steps: 0,
         plan_cache_hit: if consulted_donors { Some(false) } else { None },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use optimus_core::GroupPlanner;
+    use optimus_model::{Activation, GraphBuilder};
+    use optimus_profile::CostModel;
+
+    /// A two-layer CNN named `name`; `seed_group` picks the tensor content.
+    fn cnn(name: &str, seed_group: &str) -> ModelGraph {
+        let mut b = GraphBuilder::new(name).seed_group(seed_group);
+        let x = b.input([1, 3, 8, 8]);
+        let x = b.conv2d_after(x, 3, 8, (3, 3), (1, 1), 1);
+        let x = b.activation_after(x, Activation::Relu);
+        let x = b.global_avg_pool_after(x);
+        let x = b.flatten_after(x);
+        let _ = b.dense_after(x, 8, 4);
+        b.finish().expect("valid CNN")
+    }
+
+    #[test]
+    fn cached_chunkings_are_shared_and_dropped_on_reregistration() {
+        let cost = CostModel::default();
+        let repo = ModelRepository::new(Box::new(GroupPlanner));
+        repo.register(cnn("a", "one"), &cost);
+        repo.register(cnn("b", "one"), &cost);
+        let (a, b) = (repo.model_id("a").unwrap(), repo.model_id("b").unwrap());
+        let mut ws = WorkerStore::new(
+            0,
+            StoreConfig::default(),
+            &repo,
+            &MetricsRegistry::new(),
+            Arc::new(Mutex::new(HashMap::new())),
+        );
+
+        let chunks = ws.chunks_of(&repo, a);
+        assert!(!chunks.is_empty());
+        assert!(
+            Arc::ptr_eq(&chunks, &ws.chunks_of(&repo, a)),
+            "second lookup is the cached list, not a re-chunking"
+        );
+        let split = ws.plan_chunks_of(&repo, a, b).expect("a → b is planned");
+        assert!(Arc::ptr_eq(
+            &split,
+            &ws.plan_chunks_of(&repo, a, b).unwrap()
+        ));
+        assert_eq!(
+            Some(&*split),
+            repo.plan_chunks_by_id(a, b, ws.chunk_bytes).as_ref()
+        );
+
+        // Same name and id, different tensors: the cache must not keep
+        // accounting the old content.
+        repo.register(cnn("a", "two"), &cost);
+        assert_eq!(repo.model_id("a"), Some(a));
+        let rechunked = ws.chunks_of(&repo, a);
+        assert_ne!(chunks, rechunked, "re-registered content is re-chunked");
+        assert_eq!(
+            &*rechunked,
+            model_chunks(&repo.model("a").unwrap(), ws.chunk_bytes).as_slice()
+        );
+        assert!(!Arc::ptr_eq(
+            &split,
+            &ws.plan_chunks_of(&repo, a, b).unwrap()
+        ));
+    }
 }

@@ -12,7 +12,7 @@
 //! state of [`Platform::run`] allocation-free.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use optimus_core::{scheduler::choose_source_by_id, ModelRepository, PlanChunks};
 use optimus_faults::{FaultInjector, FaultKind, FaultReport, FaultStats, RequestFaults};
@@ -53,6 +53,13 @@ struct FunctionData {
 /// Precomputed chunkings shared by every node's store (only built when
 /// `SimConfig::store` is set).
 struct StoreState {
+    /// A node's store as it boots: empty but for the pinned placeholders
+    /// of every cached plan's payload chunks (so LRU pressure never
+    /// evicts the bytes cached plans write). Built once and cloned per
+    /// node: pinning is a map insert per payload chunk (≈9 k for the
+    /// 37-model catalog), a clone copies the table. Behind a mutex only
+    /// because `NodeStore` is not `Sync` and `Platform` is.
+    boot: Mutex<NodeStore>,
     config: optimus_store::StoreConfig,
     /// Full chunk list per model — what a scratch load admits.
     model_chunks: ChunkIndex<FunctionId>,
@@ -61,9 +68,6 @@ struct StoreState {
     /// chunks a transformation fetches vs. the destination chunks it
     /// reuses or synthesizes in place.
     plan_chunks: Vec<Option<PlanChunks>>,
-    /// Union of all cached plans' payload chunks, pinned on every node so
-    /// LRU pressure never evicts the bytes cached plans write.
-    pinned: Vec<ChunkRef>,
     /// The persisted plan-cache artifact's content-addressed chunks
     /// (`SimConfig::plan_warm`): resident on initial nodes at boot and
     /// shipped to fleet joiners alongside the hot model's weights. Empty
@@ -72,6 +76,14 @@ struct StoreState {
 }
 
 impl StoreState {
+    /// A freshly provisioned node's store.
+    fn boot_store(&self) -> NodeStore {
+        self.boot
+            .lock()
+            .expect("nothing panics while holding the boot store")
+            .clone()
+    }
+
     /// Bytes a joiner must additionally receive to warm-load the
     /// persisted plan cache.
     fn artifact_bytes(&self) -> u64 {
@@ -335,11 +347,13 @@ impl Platform {
             } else {
                 Vec::new()
             };
+            let mut boot = NodeStore::new(sc);
+            boot.pin(&repo.plan_referenced_chunks(sc.chunk_bytes));
             StoreState {
+                boot: Mutex::new(boot),
                 config: sc,
                 model_chunks,
                 plan_chunks,
-                pinned: repo.plan_referenced_chunks(sc.chunk_bytes),
                 artifact_chunks,
             }
         });
@@ -442,8 +456,7 @@ impl Platform {
                 let mut node = NodeState::default();
                 if i < self.config.nodes {
                     if let Some(ss) = &self.store {
-                        let mut store = NodeStore::new(ss.config);
-                        store.pin(&ss.pinned);
+                        let mut store = ss.boot_store();
                         // Boot-time warm load of the persisted plan cache
                         // (empty unless `plan_warm`): the artifact is
                         // already on node disk/memory, not re-planned.
@@ -875,8 +888,7 @@ impl Platform {
                 }
                 fl.waves[w].pending.swap_remove(i);
                 if let Some(ss) = &self.store {
-                    let mut store = NodeStore::new(ss.config);
-                    store.pin(&ss.pinned);
+                    let mut store = ss.boot_store();
                     if let Some(chunks) = ss.model_chunks.get(fl.waves[w].f) {
                         store.warm(chunks);
                     }

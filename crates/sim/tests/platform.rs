@@ -317,3 +317,11 @@ fn sharing_aware_placement_colocates_families() {
         "families separated"
     );
 }
+
+#[test]
+fn platform_is_shareable_across_threads() {
+    // `run(&self)` is pure, so sweeps may share one platform between
+    // workers; the per-node boot store inside it must not take that away.
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Platform>();
+}

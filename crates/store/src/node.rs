@@ -16,14 +16,61 @@
 //!    when the disk cache overflows, they are forgotten back to
 //!    [`Tier::Remote`]. Pinned chunks (cached-plan working set) are
 //!    exempt.
+//!
+//! # Cost contract
+//!
+//! An operation over a `k`-chunk list costs O(k) — one map probe and a
+//! handful of integer updates per chunk — however many chunks are
+//! resident, as long as the node is under its budgets. Three mechanisms
+//! keep it so:
+//!
+//! - a [`Ledger`] of per-tier bytes (and the other [`StoreStats`] sums)
+//!   adjusted at every entry transition, so the capacity check is two
+//!   integer comparisons and [`NodeStore::stats`] is O(1);
+//! - duplicate ids in a list are skipped by a per-call generation stamp
+//!   on the entry, not by building a set of the list;
+//! - chunk ids are already avalanche-mixed content hashes, so the map
+//!   uses them as the hash ([`IdHasher`]).
+//!
+//! Only a tier that is actually *over* budget pays the O(resident) victim
+//! scan-and-sort.
 
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{ChunkId, ChunkRef};
 use crate::tier::{StoreConfig, Tier};
 
+/// Pass-through hasher for [`ChunkId`] keys: the id *is* the hash.
+///
+/// Ids are FNV-with-avalanche content fingerprints computed by this
+/// program from tensor content (never taken from a request), so they are
+/// already uniformly mixed and SipHash's collision resistance buys
+/// nothing here.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("ChunkId hashes as a single u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+}
+
+type BuildIdHasher = BuildHasherDefault<IdHasher>;
+
+#[derive(Clone)]
 struct ChunkEntry {
     bytes: u64,
     tier: Tier,
@@ -34,6 +81,53 @@ struct ChunkEntry {
     pinned: bool,
     /// Logical LRU clock value of the last touch.
     touch: u64,
+    /// Generation of the last operation that visited this entry: a list
+    /// naming the same id twice finds its own stamp the second time. A
+    /// `Cell` because [`NodeStore::estimate`] dedups through `&self`.
+    seen: Cell<u64>,
+}
+
+/// Running sums over the entries, adjusted at every transition so that no
+/// operation has to recount them. Invariant (checked by
+/// [`NodeStore::check_invariants`]): equal to a recount over `chunks`.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Ledger {
+    /// Σ bytes of the entries at each tier, indexed by `Tier as usize`
+    /// (slot 0 holds the pinned [`Tier::Remote`] placeholders).
+    tier_bytes: [u64; 4],
+    /// Entries resident on the node (any tier but [`Tier::Remote`]).
+    resident: u64,
+    /// Resident entries that are pinned.
+    resident_pinned: u64,
+    /// Σ max(refs, 1)·bytes over resident entries.
+    referenced_bytes: u64,
+}
+
+impl Ledger {
+    fn add(&mut self, e: &ChunkEntry) {
+        self.tier_bytes[e.tier as usize] += e.bytes;
+        if e.tier != Tier::Remote {
+            self.resident += 1;
+            self.resident_pinned += u64::from(e.pinned);
+            self.referenced_bytes += u64::from(e.refs.max(1)) * e.bytes;
+        }
+    }
+
+    fn sub(&mut self, e: &ChunkEntry) {
+        self.tier_bytes[e.tier as usize] -= e.bytes;
+        if e.tier != Tier::Remote {
+            self.resident -= 1;
+            self.resident_pinned -= u64::from(e.pinned);
+            self.referenced_bytes -= u64::from(e.refs.max(1)) * e.bytes;
+        }
+    }
+
+    /// Apply `change` to `e`, moving its contribution with it.
+    fn update(&mut self, e: &mut ChunkEntry, change: impl FnOnce(&mut ChunkEntry)) {
+        self.sub(e);
+        change(e);
+        self.add(e);
+    }
 }
 
 /// Byte breakdown of one admit/estimate by the tier the chunks were found
@@ -113,10 +207,17 @@ impl StoreStats {
 }
 
 /// The per-node content-addressed chunk store.
+///
+/// Not `Sync`: [`NodeStore::estimate`] stamps entries through `&self`, so
+/// two threads must not estimate against one store at once.
+#[derive(Clone)]
 pub struct NodeStore {
     config: StoreConfig,
-    chunks: HashMap<ChunkId, ChunkEntry>,
+    chunks: HashMap<ChunkId, ChunkEntry, BuildIdHasher>,
+    ledger: Ledger,
     clock: u64,
+    /// Dedup generation of the last operation (see [`ChunkEntry::seen`]).
+    generation: Cell<u64>,
     hits: u64,
     misses: u64,
     admitted_bytes: u64,
@@ -134,8 +235,10 @@ impl NodeStore {
         config.validate().expect("store config must be valid");
         NodeStore {
             config,
-            chunks: HashMap::new(),
+            chunks: HashMap::default(),
+            ledger: Ledger::default(),
             clock: 0,
+            generation: Cell::new(0),
             hits: 0,
             misses: 0,
             admitted_bytes: 0,
@@ -148,19 +251,21 @@ impl NodeStore {
         &self.config
     }
 
-    /// Deduplicate a chunk list by id, keeping first occurrences: a
-    /// container holding the same content twice still references (and
-    /// transports) it once.
-    fn uniq(chunks: &[ChunkRef]) -> Vec<ChunkRef> {
-        let mut seen = HashSet::with_capacity(chunks.len());
-        chunks
-            .iter()
-            .copied()
-            .filter(|c| seen.insert(c.id))
-            .collect()
+    /// Open a new operation. Within it, `e.seen.replace(gen) == gen` is
+    /// true exactly for the second and later occurrences of an id — the
+    /// first-occurrence dedup of a chunk list (a container holding the
+    /// same content twice references and transports it once) without
+    /// materialising a set of the list. Entries created by the operation
+    /// are born stamped.
+    fn next_generation(&self) -> u64 {
+        let gen = self.generation.get() + 1;
+        self.generation.set(gen);
+        gen
     }
 
-    fn cost_of(&self, container: u64, memory: u64, disk: u64, remote: u64) -> FetchCost {
+    /// `found` is bytes by source tier, indexed by `Tier as usize`.
+    fn cost_of(&self, found: [u64; 4]) -> FetchCost {
+        let [remote, disk, memory, container] = found;
         FetchCost {
             container_bytes: container,
             memory_bytes: memory,
@@ -174,66 +279,95 @@ impl NodeStore {
 
     /// Read-only estimate of what admitting `chunks` would cost right now.
     pub fn estimate(&self, chunks: &[ChunkRef]) -> FetchCost {
-        let (mut con, mut mem, mut disk, mut rem) = (0u64, 0u64, 0u64, 0u64);
-        for c in Self::uniq(chunks) {
-            match self.chunks.get(&c.id).map(|e| e.tier) {
-                Some(Tier::Container) => con += c.bytes,
-                Some(Tier::NodeMemory) => mem += c.bytes,
-                Some(Tier::NodeDisk) => disk += c.bytes,
-                Some(Tier::Remote) | None => rem += c.bytes,
+        let gen = self.next_generation();
+        // Ids the node has never seen have no entry to stamp; they are
+        // deduplicated in a set that allocates on its first insert.
+        let mut unknown: HashSet<ChunkId, BuildIdHasher> = HashSet::default();
+        let mut found = [0u64; 4];
+        for (i, c) in chunks.iter().enumerate() {
+            match self.chunks.get(&c.id) {
+                Some(e) => {
+                    if e.seen.replace(gen) != gen {
+                        found[e.tier as usize] += c.bytes;
+                    }
+                }
+                None => {
+                    if unknown.is_empty() {
+                        unknown.reserve(chunks.len() - i);
+                    }
+                    if unknown.insert(c.id) {
+                        found[Tier::Remote as usize] += c.bytes;
+                    }
+                }
             }
         }
-        self.cost_of(con, mem, disk, rem)
+        self.cost_of(found)
+    }
+
+    /// Visit every distinct chunk of `chunks` once, in list order: tick the
+    /// LRU clock, then let `visit(entry, chunk, clock)` change the entry
+    /// (the ledger follows the change). An id the node has never seen is
+    /// first entered as what "unknown" means — at [`Tier::Remote`],
+    /// unreferenced, unpinned, touched now — so `visit` has one case.
+    fn upsert_each(
+        &mut self,
+        chunks: &[ChunkRef],
+        mut visit: impl FnMut(&mut ChunkEntry, &ChunkRef, u64),
+    ) {
+        let gen = self.next_generation();
+        for c in chunks {
+            let e = match self.chunks.entry(c.id) {
+                Entry::Occupied(slot) => {
+                    let e = slot.into_mut();
+                    if e.seen.replace(gen) == gen {
+                        continue;
+                    }
+                    self.clock += 1;
+                    e
+                }
+                Entry::Vacant(slot) => {
+                    self.clock += 1;
+                    let e = slot.insert(ChunkEntry {
+                        bytes: c.bytes,
+                        tier: Tier::Remote,
+                        refs: 0,
+                        pinned: false,
+                        touch: self.clock,
+                        seen: Cell::new(gen),
+                    });
+                    self.ledger.add(e);
+                    e
+                }
+            };
+            let clock = self.clock;
+            self.ledger.update(e, |e| visit(e, c, clock));
+        }
     }
 
     /// A container starts holding `chunks`: promote them to
     /// [`Tier::Container`], add one reference each, and return the
     /// transport cost by source tier.
     pub fn admit(&mut self, chunks: &[ChunkRef]) -> FetchCost {
-        let (mut con, mut mem, mut disk, mut rem) = (0u64, 0u64, 0u64, 0u64);
-        for c in Self::uniq(chunks) {
-            self.clock += 1;
-            self.admitted_bytes += c.bytes;
-            match self.chunks.get_mut(&c.id) {
-                Some(e) if e.tier != Tier::Remote => {
-                    self.hits += 1;
-                    match e.tier {
-                        Tier::Container => con += c.bytes,
-                        Tier::NodeMemory => mem += c.bytes,
-                        Tier::NodeDisk => disk += c.bytes,
-                        Tier::Remote => unreachable!("guarded above"),
-                    }
-                    e.tier = Tier::Container;
-                    e.refs += 1;
-                    e.touch = self.clock;
-                }
-                Some(e) => {
-                    // Known (pinned placeholder) but not resident.
-                    self.misses += 1;
-                    rem += c.bytes;
-                    e.tier = Tier::Container;
-                    e.refs += 1;
-                    e.touch = self.clock;
-                }
-                None => {
-                    self.misses += 1;
-                    rem += c.bytes;
-                    self.chunks.insert(
-                        c.id,
-                        ChunkEntry {
-                            bytes: c.bytes,
-                            tier: Tier::Container,
-                            refs: 1,
-                            pinned: false,
-                            touch: self.clock,
-                        },
-                    );
-                }
+        let mut found = [0u64; 4];
+        let (mut hits, mut misses) = (0, 0);
+        self.upsert_each(chunks, |e, c, clock| {
+            // A pinned placeholder is known but not resident: a miss.
+            if e.tier == Tier::Remote {
+                misses += 1;
+            } else {
+                hits += 1;
             }
-        }
-        self.fetched_bytes += rem;
+            found[e.tier as usize] += c.bytes;
+            e.tier = Tier::Container;
+            e.refs += 1;
+            e.touch = clock;
+        });
+        self.hits += hits;
+        self.misses += misses;
+        self.admitted_bytes += found.iter().sum::<u64>();
+        self.fetched_bytes += found[Tier::Remote as usize];
         self.enforce_capacity();
-        self.cost_of(con, mem, disk, rem)
+        self.cost_of(found)
     }
 
     /// A transformation synthesized `chunks` inside a live container
@@ -243,24 +377,11 @@ impl NodeStore {
     /// counters are untouched, because no lookup against the tiers
     /// happened; the bytes were *written*, not read.
     pub fn produce(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
-            self.clock += 1;
-            let clock = self.clock;
-            self.chunks
-                .entry(c.id)
-                .and_modify(|e| {
-                    e.tier = Tier::Container;
-                    e.refs += 1;
-                    e.touch = clock;
-                })
-                .or_insert(ChunkEntry {
-                    bytes: c.bytes,
-                    tier: Tier::Container,
-                    refs: 1,
-                    pinned: false,
-                    touch: clock,
-                });
-        }
+        self.upsert_each(chunks, |e, _, clock| {
+            e.tier = Tier::Container;
+            e.refs += 1;
+            e.touch = clock;
+        });
         self.enforce_capacity();
     }
 
@@ -274,31 +395,13 @@ impl NodeStore {
     /// transfer itself is priced by the caller's multicast plan.
     pub fn warm(&mut self, chunks: &[ChunkRef]) -> u64 {
         let mut delivered = 0;
-        for c in Self::uniq(chunks) {
-            self.clock += 1;
-            let clock = self.clock;
-            match self.chunks.get_mut(&c.id) {
-                Some(e) if e.tier >= Tier::NodeMemory => {}
-                Some(e) => {
-                    delivered += c.bytes;
-                    e.tier = Tier::NodeMemory;
-                    e.touch = clock;
-                }
-                None => {
-                    delivered += c.bytes;
-                    self.chunks.insert(
-                        c.id,
-                        ChunkEntry {
-                            bytes: c.bytes,
-                            tier: Tier::NodeMemory,
-                            refs: 0,
-                            pinned: false,
-                            touch: clock,
-                        },
-                    );
-                }
+        self.upsert_each(chunks, |e, c, clock| {
+            if e.tier < Tier::NodeMemory {
+                delivered += c.bytes;
+                e.tier = Tier::NodeMemory;
+                e.touch = clock;
             }
-        }
+        });
         self.enforce_capacity();
         delivered
     }
@@ -307,13 +410,20 @@ impl NodeStore {
     /// one reference each; chunks nobody references demote to
     /// [`Tier::NodeMemory`] — keep-alive expiry keeps the bytes warm.
     pub fn release(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
-            if let Some(e) = self.chunks.get_mut(&c.id) {
+        let gen = self.next_generation();
+        for c in chunks {
+            let Some(e) = self.chunks.get_mut(&c.id) else {
+                continue;
+            };
+            if e.seen.replace(gen) == gen {
+                continue;
+            }
+            self.ledger.update(e, |e| {
                 e.refs = e.refs.saturating_sub(1);
                 if e.refs == 0 && e.tier == Tier::Container {
                     e.tier = Tier::NodeMemory;
                 }
-            }
+            });
         }
         self.enforce_capacity();
     }
@@ -322,27 +432,15 @@ impl NodeStore {
     /// Unknown chunks are remembered as pinned [`Tier::Remote`]
     /// placeholders (pinning declares intent, it does not fetch).
     pub fn pin(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
-            self.clock += 1;
-            let clock = self.clock;
-            self.chunks
-                .entry(c.id)
-                .and_modify(|e| e.pinned = true)
-                .or_insert(ChunkEntry {
-                    bytes: c.bytes,
-                    tier: Tier::Remote,
-                    refs: 0,
-                    pinned: true,
-                    touch: clock,
-                });
-        }
+        self.upsert_each(chunks, |e, _, _| e.pinned = true);
     }
 
     /// Unpin `chunks`, making them ordinary LRU citizens again.
     pub fn unpin(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
+        // Idempotent per id, so duplicates need no stamp.
+        for c in chunks {
             if let Some(e) = self.chunks.get_mut(&c.id) {
-                e.pinned = false;
+                self.ledger.update(e, |e| e.pinned = false);
             }
         }
         self.enforce_capacity();
@@ -357,27 +455,31 @@ impl NodeStore {
     /// lost.
     pub fn crash(&mut self) -> u64 {
         let mut lost = 0;
+        // Every entry is visited anyway: recount the ledger over the
+        // survivors instead of adjusting it entry by entry.
+        let mut ledger = Ledger::default();
         self.chunks.retain(|_, e| {
             e.refs = 0;
-            match e.tier {
-                Tier::Container | Tier::NodeMemory => {
-                    lost += e.bytes;
-                    if e.pinned {
-                        e.tier = Tier::Remote;
-                        true
-                    } else {
-                        false
-                    }
+            if matches!(e.tier, Tier::Container | Tier::NodeMemory) {
+                lost += e.bytes;
+                if !e.pinned {
+                    return false;
                 }
-                Tier::NodeDisk | Tier::Remote => true,
+                e.tier = Tier::Remote;
             }
+            ledger.add(e);
+            true
         });
+        self.ledger = ledger;
         lost
     }
 
     /// Demote LRU overflow: node memory over budget spills to disk, disk
     /// over budget forgets back to remote. Pinned and referenced chunks
     /// are exempt, so the budgets are soft under pinning pressure.
+    ///
+    /// Under budget — every call of a default-configured node — this is
+    /// two comparisons against the ledger.
     fn enforce_capacity(&mut self) {
         self.demote_tier(
             Tier::NodeMemory,
@@ -387,70 +489,81 @@ impl NodeStore {
         self.demote_tier(Tier::NodeDisk, Tier::Remote, self.config.node_disk_bytes);
     }
 
+    /// If tier `from` is over `budget`, move its oldest unpinned entries
+    /// down to `to` until it fits (or only pinned entries remain).
     fn demote_tier(&mut self, from: Tier, to: Tier, budget: u64) {
-        let mut used: u64 = self
-            .chunks
-            .values()
-            .filter(|e| e.tier == from)
-            .map(|e| e.bytes)
-            .sum();
-        if used <= budget {
+        if self.ledger.tier_bytes[from as usize] <= budget {
             return;
         }
         // Oldest-first among unpinned entries of the tier; ties break on
         // the id for determinism.
-        let mut victims: Vec<(u64, ChunkId, u64)> = self
+        let mut victims: Vec<(u64, ChunkId)> = self
             .chunks
             .iter()
             .filter(|(_, e)| e.tier == from && !e.pinned)
-            .map(|(id, e)| (e.touch, *id, e.bytes))
+            .map(|(id, e)| (e.touch, *id))
             .collect();
         victims.sort_unstable();
-        for (_, id, bytes) in victims {
-            if used <= budget {
+        for (_, id) in victims {
+            if self.ledger.tier_bytes[from as usize] <= budget {
                 break;
             }
-            used -= bytes;
             if to == Tier::Remote {
-                let keep_placeholder = self.chunks.get(&id).is_some_and(|e| e.pinned);
-                if !keep_placeholder {
-                    self.chunks.remove(&id);
-                }
-            } else if let Some(e) = self.chunks.get_mut(&id) {
-                e.tier = to;
+                // Unpinned, so no placeholder is kept: forget the chunk.
+                let e = self.chunks.remove(&id).expect("victim is resident");
+                self.ledger.sub(&e);
+            } else {
+                let e = self.chunks.get_mut(&id).expect("victim is resident");
+                self.ledger.update(e, |e| e.tier = to);
             }
         }
     }
 
-    /// Point-in-time statistics.
+    /// Point-in-time statistics, read off the ledger in O(1).
     pub fn stats(&self) -> StoreStats {
-        let mut s = StoreStats {
+        let [_, disk_bytes, memory_bytes, container_bytes] = self.ledger.tier_bytes;
+        let unique_bytes = container_bytes + memory_bytes + disk_bytes;
+        StoreStats {
+            container_bytes,
+            memory_bytes,
+            disk_bytes,
+            chunks: self.ledger.resident,
+            pinned: self.ledger.resident_pinned,
             hits: self.hits,
             misses: self.misses,
             admitted_bytes: self.admitted_bytes,
             fetched_bytes: self.fetched_bytes,
-            ..StoreStats::default()
-        };
-        for e in self.chunks.values() {
-            match e.tier {
-                Tier::Container => s.container_bytes += e.bytes,
-                Tier::NodeMemory => s.memory_bytes += e.bytes,
-                Tier::NodeDisk => s.disk_bytes += e.bytes,
-                Tier::Remote => continue, // pinned placeholder, not resident
-            }
-            s.chunks += 1;
-            if e.pinned {
-                s.pinned += 1;
-            }
-            s.referenced_bytes += u64::from(e.refs.max(1)) * e.bytes;
-            s.unique_bytes += e.bytes;
+            referenced_bytes: self.ledger.referenced_bytes,
+            unique_bytes,
+            dedup_ratio: if unique_bytes == 0 {
+                1.0
+            } else {
+                self.ledger.referenced_bytes as f64 / unique_bytes as f64
+            },
         }
-        s.dedup_ratio = if s.unique_bytes == 0 {
-            1.0
-        } else {
-            s.referenced_bytes as f64 / s.unique_bytes as f64
-        };
-        s
+    }
+
+    /// Recount everything the ledger tracks from the entries and compare
+    /// (O(resident); for the reference-model tests, not for callers).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated invariant: the ledger differs from the
+    /// recount, or an entry is referenced without sitting at
+    /// [`Tier::Container`] (or sits there unreferenced).
+    #[doc(hidden)]
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut recount = Ledger::default();
+        for (id, e) in &self.chunks {
+            recount.add(e);
+            if (e.refs > 0) != (e.tier == Tier::Container) {
+                return Err(format!("{id:?}: {} refs at {:?}", e.refs, e.tier));
+            }
+        }
+        if recount != self.ledger {
+            return Err(format!("ledger {:?} != recount {recount:?}", self.ledger));
+        }
+        Ok(())
     }
 }
 

@@ -46,4 +46,8 @@ cargo run --release -q -p optimus-bench --bin exp_llm_transform -- --small --thr
 echo "== decide-path bench smoke (small config) =="
 cargo bench -p optimus-bench --bench decide_path -- --small
 
+echo "== benchmark output checks (quick: every replay valid, first/last replay byte-identical, start-kind shares) =="
+benchmark/run.sh --quick --workload sim_replay_full
+benchmark/run.sh --quick --workload serve_gateway_churn
+
 echo "all checks passed"
