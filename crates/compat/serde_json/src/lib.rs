@@ -51,6 +51,17 @@ pub fn from_slice<T: Deserialize>(b: &[u8]) -> Result<T, Error> {
     from_str(s)
 }
 
+/// Deserialize a `T` from an already parsed [`Value`] tree — for callers
+/// that probe the tree (a version stamp, say) before committing to `T`'s
+/// layout, so the text is parsed once.
+///
+/// # Errors
+///
+/// Returns an [`Error`] on a shape mismatch.
+pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
+    T::from_value(&value)
+}
+
 /// Convert any serializable value into a [`Value`] tree (used by `json!`).
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
     value.to_value()

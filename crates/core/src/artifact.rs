@@ -1,6 +1,6 @@
 //! Content-addressed, versioned persistence of the plan cache.
 //!
-//! A [`PlanArtifact`] is the durable form of a repository's plan cache:
+//! A plan artifact is the durable form of a repository's plan cache:
 //! every cached plan keyed by the **content hashes** of its source and
 //! destination graphs ([`ModelGraph::content_hash`]) instead of their
 //! names. Content addressing makes the artifact portable — a restarted
@@ -9,45 +9,78 @@
 //! staleness detection free: edit a model and its hash (hence its cache
 //! key) changes, so the stale plan simply never matches.
 //!
-//! Artifacts are double-stamped, following the `SNAPSHOT_VERSION` pattern
-//! in [`crate::persist`]:
+//! # On-disk format (v2)
 //!
-//! - [`PLAN_ARTIFACT_VERSION`] guards the serialized *format*;
-//! - [`optimus_profile::COST_MODEL_VERSION`] guards the *semantics* — a
-//!   plan computed against one cost calibration must not be replayed
-//!   against another, so a calibration bump invalidates every persisted
-//!   plan at load time ([`PlanArtifactError::CostModelMismatch`]).
+//! A length-prefixed binary container, built so that a warm boot costs
+//! less than the planning it replaces: loading reads the header and the
+//! index, and a plan is decoded only when a registration asks for its key.
 //!
-//! Both stamps are probed on the raw JSON value tree **before** the full
-//! structure is deserialized, so incompatible artifacts fail with a typed
-//! error rather than a confusing field-level parse failure.
+//! | bytes | field |
+//! |---|---|
+//! | 8 | magic `"OPTPLAN\0"` |
+//! | 4 | format version, `u32` LE ([`PLAN_ARTIFACT_VERSION`]) |
+//! | 4 | cost-model version, `u32` LE ([`optimus_profile::COST_MODEL_VERSION`]) |
+//! | 8 | entry count `n`, `u64` LE |
+//! | 32 · n | index rows `(src_hash, dst_hash, offset, len)`, four `u64` LE, strictly ascending by `(src_hash, dst_hash)` |
+//! | Σ len | one self-contained encoded [`TransformPlan`] per row (see `wire.rs`), in index order, no gaps, the last ending at end of input |
 //!
-//! For transport, an artifact's serialized bytes chunk like any other
-//! store payload ([`PlanArtifact::chunks_for_bytes`] →
-//! [`optimus_store::blob_chunks`]), so fleet joiners receive the plan
-//! cache through the same multicast path as model weights.
+//! The two stamps follow the `SNAPSHOT_VERSION` pattern of
+//! [`crate::persist`]: the format version guards the *layout*, the
+//! cost-model version guards the *semantics* — a plan computed against
+//! one cost calibration must not be replayed against another. Both are
+//! checked before the index is read, and the index before any entry, so
+//! an incompatible or damaged file fails with a typed
+//! [`PlanArtifactError`] without a single plan being decoded. Because
+//! entries are laid out back to back up to the end of the input, a file
+//! truncated anywhere is rejected at load.
+//!
+//! Deliberately **not** persisted: wall-clock `planning_seconds` (decoded
+//! plans carry `0.0`), so two processes that plan the same catalog write
+//! the same bytes.
+//!
+//! Two forms read the container. [`PlanArtifactView`] is the lazy one the
+//! serving path uses: it owns the file's bytes plus the validated index
+//! and decodes per hit. [`PlanArtifact`] is the eager, fully decoded form
+//! a repository exports ([`PlanArtifact::to_bytes`] writes the
+//! container); its JSON rendering ([`PlanArtifact::to_json`]) survives as
+//! a debug export only — nothing on the serving path reads JSON.
+//!
+//! For transport, an artifact's bytes chunk like any other store payload
+//! ([`PlanArtifact::chunks_for_bytes`] → [`optimus_store::blob_chunks`]),
+//! so fleet joiners receive the plan cache through the same multicast
+//! path as model weights.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
 use optimus_profile::COST_MODEL_VERSION;
 use optimus_store::ChunkRef;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::metaop::TransformPlan;
+use crate::wire::{Reader, Wire, WireError};
 
-/// Current artifact schema version. Bump on any incompatible change to
-/// [`PlanArtifact`] (or to the serialized form of [`TransformPlan`]).
-pub const PLAN_ARTIFACT_VERSION: u32 = 1;
+/// Current artifact format version. Bump on any incompatible change to
+/// the container layout or to the encoded form of [`TransformPlan`].
+/// Version 1 was a JSON document; it is no longer read.
+pub const PLAN_ARTIFACT_VERSION: u32 = 2;
+
+const MAGIC: [u8; 8] = *b"OPTPLAN\0";
+const HEADER_LEN: usize = 24;
+const INDEX_ROW_LEN: usize = 32;
 
 /// Why a persisted plan artifact could not be loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanArtifactError {
-    /// The input is not valid JSON, or not an artifact-shaped object.
+    /// The input is damaged: truncated, an index row or a count prefix
+    /// that does not fit the input, an undecodable entry (or, for the
+    /// JSON debug form, invalid JSON).
     Malformed(String),
-    /// The artifact was written with a different schema version.
-    /// `found == 0` means the input predates version stamping.
+    /// The artifact was written in a different format version.
+    /// `found == 0` means the input does not carry the container's magic
+    /// at all — a version-1 JSON file, or some other file.
     UnsupportedVersion {
         /// Version recorded in the artifact (0 if absent).
         found: u64,
@@ -85,23 +118,160 @@ impl fmt::Display for PlanArtifactError {
 
 impl std::error::Error for PlanArtifactError {}
 
+impl From<WireError> for PlanArtifactError {
+    fn from(e: WireError) -> Self {
+        malformed(e.0)
+    }
+}
+
+fn malformed(what: &str) -> PlanArtifactError {
+    PlanArtifactError::Malformed(what.to_string())
+}
+
+/// Check both stamps: the shared gate of the binary and the JSON form.
+fn check_stamps(version: u64, cost_model: u64) -> Result<(), PlanArtifactError> {
+    if version != u64::from(PLAN_ARTIFACT_VERSION) {
+        return Err(PlanArtifactError::UnsupportedVersion {
+            found: version,
+            expected: PLAN_ARTIFACT_VERSION,
+        });
+    }
+    if cost_model != u64::from(COST_MODEL_VERSION) {
+        return Err(PlanArtifactError::CostModelMismatch {
+            found: cost_model,
+            expected: COST_MODEL_VERSION,
+        });
+    }
+    Ok(())
+}
+
+/// One validated index row: the key and where its entry lies.
+#[derive(Debug, Clone, Copy)]
+struct IndexRow {
+    key: (u64, u64),
+    start: usize,
+    end: usize,
+}
+
+/// Validate header and index of a container; no entry is touched.
+fn parse_container(bytes: &[u8]) -> Result<Vec<IndexRow>, PlanArtifactError> {
+    if !bytes.starts_with(&MAGIC) {
+        if MAGIC.starts_with(bytes) {
+            return Err(malformed("truncated header"));
+        }
+        return Err(PlanArtifactError::UnsupportedVersion {
+            found: 0,
+            expected: PLAN_ARTIFACT_VERSION,
+        });
+    }
+    if bytes.len() < HEADER_LEN {
+        return Err(malformed("truncated header"));
+    }
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    check_stamps(u64::from(u32_at(8)), u64::from(u32_at(12)))?;
+    // The count sizes an allocation, so it is bounded by what the input
+    // could hold before it is believed.
+    let count = usize::try_from(u64_at(16))
+        .ok()
+        .filter(|&n| n <= (bytes.len() - HEADER_LEN) / INDEX_ROW_LEN)
+        .ok_or_else(|| malformed("entry count exceeds the input"))?;
+    let mut rows = Vec::with_capacity(count);
+    let mut start = HEADER_LEN + count * INDEX_ROW_LEN;
+    for i in 0..count {
+        let at = HEADER_LEN + i * INDEX_ROW_LEN;
+        let key = (u64_at(at), u64_at(at + 8));
+        if rows.last().is_some_and(|prev: &IndexRow| prev.key >= key) {
+            return Err(malformed("index keys are not strictly ascending"));
+        }
+        // Entries lie back to back in index order: an offset anywhere
+        // else is out of bounds, overlapping, or leaves a gap.
+        if u64_at(at + 16) != start as u64 {
+            return Err(malformed("index offset does not follow the previous entry"));
+        }
+        let end = usize::try_from(u64_at(at + 24))
+            .ok()
+            .and_then(|len| start.checked_add(len))
+            .filter(|&end| end <= bytes.len())
+            .ok_or_else(|| malformed("index entry runs past the input"))?;
+        rows.push(IndexRow { key, start, end });
+        start = end;
+    }
+    if start != bytes.len() {
+        return Err(malformed("input continues past the last entry"));
+    }
+    Ok(rows)
+}
+
+/// Decode one entry; the plan must fill its index row exactly.
+fn decode_plan(bytes: &[u8]) -> Result<TransformPlan, PlanArtifactError> {
+    let mut reader = Reader::new(bytes);
+    let plan = TransformPlan::get(&mut reader)?;
+    if !reader.is_empty() {
+        return Err(malformed("entry continues past its plan"));
+    }
+    Ok(plan)
+}
+
+/// Where an entry's bytes come from when a container is written.
+enum Payload<'a> {
+    /// Already encoded (copied out of an existing container).
+    Raw(&'a [u8]),
+    /// Encoded now.
+    Plan(&'a TransformPlan),
+}
+
+/// Write a container; the map's order is the index order.
+fn assemble(version: u32, cost_model: u32, entries: &BTreeMap<(u64, u64), Payload<'_>>) -> Vec<u8> {
+    let data_start = HEADER_LEN + entries.len() * INDEX_ROW_LEN;
+    // Raw payloads are most of a rewrite: size for them up front.
+    let raw_len: usize = entries
+        .values()
+        .map(|payload| match payload {
+            Payload::Raw(bytes) => bytes.len(),
+            Payload::Plan(_) => 0,
+        })
+        .sum();
+    let mut out = Vec::with_capacity(data_start + raw_len);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&cost_model.to_le_bytes());
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    out.resize(data_start, 0);
+    for (i, (key, payload)) in entries.iter().enumerate() {
+        let start = out.len();
+        match payload {
+            Payload::Raw(bytes) => out.extend_from_slice(bytes),
+            Payload::Plan(plan) => plan.put(&mut out),
+        }
+        let row = [key.0, key.1, start as u64, (out.len() - start) as u64];
+        let at = HEADER_LEN + i * INDEX_ROW_LEN;
+        for (field, value) in row.into_iter().enumerate() {
+            out[at + 8 * field..at + 8 * field + 8].copy_from_slice(&value.to_le_bytes());
+        }
+    }
+    out
+}
+
 /// One persisted plan, keyed by the content hashes of its endpoints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanArtifactEntry {
     /// [`ModelGraph::content_hash`](optimus_model::ModelGraph::content_hash)
     /// of the source graph.
     pub src_hash: u64,
     /// Content hash of the destination graph.
     pub dst_hash: u64,
-    /// The cached plan. Its `src_model`/`dst_model` names are those of the
-    /// exporting repository; importers rebind them to local names on hit.
-    pub plan: TransformPlan,
+    /// The cached plan, shared with the repository that exported it. Its
+    /// `src_model`/`dst_model` names are those of the exporting
+    /// repository; importers rebind them to local names on hit.
+    pub plan: Arc<TransformPlan>,
 }
 
-/// Serializable, content-addressed snapshot of a plan cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Fully decoded, content-addressed snapshot of a plan cache: what a
+/// repository exports and what [`PlanArtifact::to_bytes`] persists.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanArtifact {
-    /// Schema version ([`PLAN_ARTIFACT_VERSION`] when written by this
+    /// Format version ([`PLAN_ARTIFACT_VERSION`] when written by this
     /// build).
     pub version: u32,
     /// Cost-model calibration the plans were computed against
@@ -132,12 +302,52 @@ impl PlanArtifact {
         self.entries.is_empty()
     }
 
-    /// Serialize to JSON.
+    /// Encode as a v2 container (see the module docs) — the bytes that go
+    /// to disk and over the wire. A pure function of the plan set: no
+    /// wall-clock field is written, and where two entries share a key
+    /// (one graph registered under two names) the first is kept.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut entries = BTreeMap::new();
+        for e in &self.entries {
+            entries
+                .entry((e.src_hash, e.dst_hash))
+                .or_insert(Payload::Plan(&e.plan));
+        }
+        assemble(self.version, self.cost_model, &entries)
+    }
+
+    /// Decode a whole v2 container eagerly. The serving path uses
+    /// [`PlanArtifactView`] instead and decodes per hit.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`PlanArtifactView::from_bytes`], plus
+    /// [`PlanArtifactError::Malformed`] for an entry that does not decode.
+    pub fn from_bytes(bytes: &[u8]) -> Result<PlanArtifact, PlanArtifactError> {
+        let entries = parse_container(bytes)?
+            .into_iter()
+            .map(|row| {
+                Ok(PlanArtifactEntry {
+                    src_hash: row.key.0,
+                    dst_hash: row.key.1,
+                    plan: Arc::new(decode_plan(&bytes[row.start..row.end])?),
+                })
+            })
+            .collect::<Result<_, PlanArtifactError>>()?;
+        Ok(PlanArtifact {
+            version: PLAN_ARTIFACT_VERSION,
+            cost_model: COST_MODEL_VERSION,
+            entries,
+        })
+    }
+
+    /// Render as JSON: a debug export, not a persistence format.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("plan artifact serialization cannot fail")
     }
 
-    /// Deserialize from JSON, checking both version stamps first.
+    /// Read the JSON debug export back, checking both version stamps
+    /// first.
     ///
     /// # Errors
     ///
@@ -145,92 +355,25 @@ impl PlanArtifact {
     /// root; [`PlanArtifactError::UnsupportedVersion`] when the `version`
     /// stamp is missing or differs from [`PLAN_ARTIFACT_VERSION`];
     /// [`PlanArtifactError::CostModelMismatch`] when the plans were
-    /// computed against a different cost calibration. Both stamps are
-    /// probed on the raw value tree before the struct layout is parsed.
+    /// computed against a different cost calibration. The text is parsed
+    /// once: both stamps are probed on the value tree the struct is then
+    /// built from.
     pub fn from_json(json: &str) -> Result<PlanArtifact, PlanArtifactError> {
         let value: serde_json::Value =
             serde_json::from_str(json).map_err(|e| PlanArtifactError::Malformed(e.to_string()))?;
         if value.as_object().is_none() {
-            return Err(PlanArtifactError::Malformed(
-                "plan artifact root is not an object".to_string(),
-            ));
+            return Err(malformed("plan artifact root is not an object"));
         }
-        let found = value.get("version").and_then(|v| v.as_u64()).unwrap_or(0);
-        if found != u64::from(PLAN_ARTIFACT_VERSION) {
-            return Err(PlanArtifactError::UnsupportedVersion {
-                found,
-                expected: PLAN_ARTIFACT_VERSION,
-            });
-        }
-        let cost_model = value
-            .get("cost_model")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        if cost_model != u64::from(COST_MODEL_VERSION) {
-            return Err(PlanArtifactError::CostModelMismatch {
-                found: cost_model,
-                expected: COST_MODEL_VERSION,
-            });
-        }
-        serde_json::from_str(json).map_err(|e| PlanArtifactError::Malformed(e.to_string()))
+        let stamp = |field| value.get(field).and_then(|v| v.as_u64()).unwrap_or(0);
+        check_stamps(stamp("version"), stamp("cost_model"))?;
+        serde_json::from_value(value).map_err(|e| PlanArtifactError::Malformed(e.to_string()))
     }
 
-    /// Merge `other`'s plans into this artifact, keeping this artifact's
-    /// entry wherever both hold the same `(src_hash, dst_hash)` key. The
-    /// incremental-persistence primitive: a freshly exported artifact
-    /// merges the on-disk one *into itself*, so single-model `register`
-    /// rewrites keep every previously persisted plan while newer plans
-    /// win. Returns the number of entries adopted from `other`; a version
-    /// or cost-model mismatch adopts nothing (stale plans must not leak
-    /// back in through the merge path).
-    pub fn merge_from(&mut self, other: &PlanArtifact) -> usize {
-        if other.version != self.version || other.cost_model != self.cost_model {
-            return 0;
-        }
-        let have: std::collections::HashSet<(u64, u64)> = self
-            .entries
-            .iter()
-            .map(|e| (e.src_hash, e.dst_hash))
-            .collect();
-        let mut adopted = 0;
-        for e in &other.entries {
-            if !have.contains(&(e.src_hash, e.dst_hash)) {
-                self.entries.push(e.clone());
-                adopted += 1;
-            }
-        }
-        if adopted > 0 {
-            self.entries.sort_by_key(|e| (e.src_hash, e.dst_hash));
-        }
-        adopted
-    }
-
-    /// Drop every entry whose source *or* destination hash is no longer in
-    /// `live` (the registered catalog's content hashes), returning the
-    /// number of entries collected. This is what keeps the on-disk file
-    /// from growing monotonically as models churn through the catalog:
-    /// without GC, each merge-rewrite cycle re-adopts plans for models
-    /// that were dropped long ago.
-    pub fn gc(&mut self, live: &std::collections::HashSet<u64>) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|e| live.contains(&e.src_hash) && live.contains(&e.dst_hash));
-        before - self.entries.len()
-    }
-
-    /// Index the entries by cache key for O(1) warm-load probes.
-    pub fn index(&self) -> HashMap<(u64, u64), Arc<TransformPlan>> {
-        self.entries
-            .iter()
-            .map(|e| ((e.src_hash, e.dst_hash), Arc::new(e.plan.clone())))
-            .collect()
-    }
-
-    /// Chunk references of this artifact's serialized bytes (serializes
-    /// internally; when the caller already holds the bytes — e.g. to also
-    /// write them to disk — use [`PlanArtifact::chunks_for_bytes`]).
+    /// Chunk references of this artifact's container bytes (encodes
+    /// internally; when the caller already holds the bytes use
+    /// [`PlanArtifact::chunks_for_bytes`]).
     pub fn chunks(&self, chunk_bytes: u64) -> Vec<ChunkRef> {
-        PlanArtifact::chunks_for_bytes(self.to_json().as_bytes(), chunk_bytes)
+        PlanArtifact::chunks_for_bytes(&self.to_bytes(), chunk_bytes)
     }
 
     /// Chunk references of a serialized artifact, content-addressed by a
@@ -239,6 +382,140 @@ impl PlanArtifact {
     /// so pinning an artifact never aliases a tensor.
     pub fn chunks_for_bytes(bytes: &[u8], chunk_bytes: u64) -> Vec<ChunkRef> {
         optimus_store::blob_chunks(fingerprint(bytes), bytes.len() as u64, chunk_bytes)
+    }
+}
+
+/// A loaded v2 container: the file's bytes, its validated index, and
+/// nothing decoded. [`PlanArtifactView::get`] decodes one plan per hit,
+/// so a registration pays for the entries it uses and resident memory is
+/// the file plus the plans actually installed.
+#[derive(Debug)]
+pub struct PlanArtifactView {
+    bytes: Vec<u8>,
+    index: Vec<IndexRow>,
+    /// Keys whose entry failed to decode. Loading reads only header and
+    /// index, so damage inside an entry surfaces at its first hit; a
+    /// rewrite must then take the re-planned plan, not the damaged bytes.
+    rejected: Mutex<Vec<(u64, u64)>>,
+}
+
+/// What [`PlanArtifactView::rewrite`] wants on disk instead of the view.
+#[derive(Debug)]
+pub struct PlanArtifactRewrite {
+    /// The new container.
+    pub bytes: Vec<u8>,
+    /// Entries of the view left out because an endpoint is no longer in
+    /// the live catalog.
+    pub collected: usize,
+}
+
+impl PlanArtifactView {
+    /// Take ownership of a container's bytes, validating the header and
+    /// the index; no entry is decoded.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanArtifactError::UnsupportedVersion`] when the input lacks the
+    /// magic (`found: 0` — version-1 JSON files land here) or carries
+    /// another format version; [`PlanArtifactError::CostModelMismatch`]
+    /// for another cost calibration; [`PlanArtifactError::Malformed`] for
+    /// a truncated input or an index that is unsorted, out of bounds,
+    /// overlapping or gapped.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<PlanArtifactView, PlanArtifactError> {
+        let index = parse_container(&bytes)?;
+        Ok(PlanArtifactView {
+            bytes,
+            index,
+            rejected: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// A view of the container that holds no plans.
+    pub fn empty() -> PlanArtifactView {
+        PlanArtifactView::from_bytes(PlanArtifact::empty().to_bytes())
+            .expect("an empty container is valid")
+    }
+
+    /// Number of indexed plans.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether the container holds no plans.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The container's bytes, as loaded.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The indexed `(src_hash, dst_hash)` keys, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.index.iter().map(|row| row.key)
+    }
+
+    /// Decode the plan stored under `(src_hash, dst_hash)`, if indexed.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanArtifactError::Malformed`] when the entry's bytes do not
+    /// decode; the key is remembered so that [`PlanArtifactView::rewrite`]
+    /// replaces the entry.
+    pub fn get(
+        &self,
+        src_hash: u64,
+        dst_hash: u64,
+    ) -> Result<Option<TransformPlan>, PlanArtifactError> {
+        let key = (src_hash, dst_hash);
+        let Ok(i) = self.index.binary_search_by_key(&key, |row| row.key) else {
+            return Ok(None);
+        };
+        let row = self.index[i];
+        decode_plan(&self.bytes[row.start..row.end])
+            .map(Some)
+            .inspect_err(|_| self.rejected.lock().push(key))
+    }
+
+    /// The container that should replace this one, given the repository's
+    /// plan cache and the content hashes of its registered catalog
+    /// (`live`) — or `None` when this one already is that container, so a
+    /// boot that found every plan it needed writes nothing.
+    ///
+    /// Entries whose source *or* destination left the catalog are
+    /// collected (decided on index keys, nothing is decoded), which keeps
+    /// the file from growing monotonically as models churn. Surviving
+    /// entries are copied as raw bytes; of `cache`, only plans the view
+    /// does not hold are encoded.
+    pub fn rewrite(
+        &self,
+        cache: &PlanArtifact,
+        live: &HashSet<u64>,
+    ) -> Option<PlanArtifactRewrite> {
+        let rejected = self.rejected.lock();
+        let mut entries = BTreeMap::new();
+        let mut collected = 0;
+        for row in &self.index {
+            if !(live.contains(&row.key.0) && live.contains(&row.key.1)) {
+                collected += 1;
+            } else if !rejected.contains(&row.key) {
+                entries.insert(row.key, Payload::Raw(&self.bytes[row.start..row.end]));
+            }
+        }
+        let kept = entries.len();
+        for e in &cache.entries {
+            entries
+                .entry((e.src_hash, e.dst_hash))
+                .or_insert(Payload::Plan(&e.plan));
+        }
+        if kept == self.index.len() && entries.len() == kept {
+            return None;
+        }
+        Some(PlanArtifactRewrite {
+            bytes: assemble(PLAN_ARTIFACT_VERSION, COST_MODEL_VERSION, &entries),
+            collected,
+        })
     }
 }
 
@@ -268,173 +545,302 @@ mod tests {
     use crate::planner::GroupPlanner;
     use optimus_profile::CostModel;
 
-    fn sample_artifact() -> PlanArtifact {
+    fn repo_of(models: Vec<optimus_model::ModelGraph>) -> ModelRepository {
         let repo = ModelRepository::new(Box::new(GroupPlanner));
-        let cost = CostModel::default();
-        repo.register_all(
-            vec![optimus_zoo::vgg::vgg16(), optimus_zoo::vgg::vgg19()],
-            &cost,
-        );
-        repo.export_plan_artifact()
+        repo.register_all(models, &CostModel::default());
+        repo
+    }
+
+    fn vgg_pair() -> ModelRepository {
+        repo_of(vec![optimus_zoo::vgg::vgg16(), optimus_zoo::vgg::vgg19()])
+    }
+
+    fn vgg_trio() -> ModelRepository {
+        repo_of(vec![
+            optimus_zoo::vgg::vgg11(),
+            optimus_zoo::vgg::vgg16(),
+            optimus_zoo::vgg::vgg19(),
+        ])
+    }
+
+    /// `art` with the wall-clock field a container does not carry zeroed.
+    fn untimed(art: &PlanArtifact) -> PlanArtifact {
+        let mut art = art.clone();
+        for e in &mut art.entries {
+            Arc::make_mut(&mut e.plan).planning_seconds = 0.0;
+        }
+        art
+    }
+
+    fn view_of(art: &PlanArtifact) -> PlanArtifactView {
+        PlanArtifactView::from_bytes(art.to_bytes()).expect("own bytes load")
     }
 
     #[test]
-    fn roundtrip_preserves_entries() {
-        let art = sample_artifact();
+    fn bytes_roundtrip_and_the_lazy_view_agrees() {
+        let art = vgg_pair().export_plan_artifact();
         assert_eq!(art.version, PLAN_ARTIFACT_VERSION);
         assert_eq!(art.cost_model, COST_MODEL_VERSION);
         assert_eq!(art.len(), 2, "two directed plans");
-        let back = PlanArtifact::from_json(&art.to_json()).unwrap();
-        assert_eq!(back.len(), art.len());
-        for (a, b) in art.entries.iter().zip(&back.entries) {
-            assert_eq!((a.src_hash, a.dst_hash), (b.src_hash, b.dst_hash));
-            assert_eq!(a.plan.cost, b.plan.cost);
+        let bytes = art.to_bytes();
+        let back = PlanArtifact::from_bytes(&bytes).unwrap();
+        assert_eq!(back, untimed(&art));
+        assert_eq!(back.to_bytes(), bytes, "re-encoding is the identity");
+
+        let view = PlanArtifactView::from_bytes(bytes).unwrap();
+        assert_eq!(view.len(), 2);
+        assert!(view
+            .keys()
+            .eq(back.entries.iter().map(|e| (e.src_hash, e.dst_hash))));
+        for e in &back.entries {
+            assert_eq!(
+                view.get(e.src_hash, e.dst_hash).unwrap().as_ref(),
+                Some(&*e.plan)
+            );
         }
+        assert_eq!(view.get(1, 2).unwrap(), None);
+        assert!(PlanArtifactView::empty().is_empty());
     }
 
     #[test]
-    fn bumped_version_is_rejected_before_deserialization() {
-        // The payload below matches the current layout exactly except for
-        // the stamp, so a field-level parse would have succeeded — the
-        // probe must fire first.
-        let mut art = sample_artifact();
+    fn json_debug_export_roundtrips() {
+        let art = vgg_pair().export_plan_artifact();
+        assert_eq!(PlanArtifact::from_json(&art.to_json()).unwrap(), art);
+    }
+
+    /// `bytes` with the little-endian `u32` at `at` replaced.
+    fn patched(mut bytes: Vec<u8>, at: usize, value: u32) -> Vec<u8> {
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn stamps_are_rejected_with_typed_errors_before_any_entry_is_read() {
+        let mut art = vgg_pair().export_plan_artifact();
+        let mut bytes = art.to_bytes();
+        // Destroy every entry: only the header may decide the outcome.
+        let data_start = HEADER_LEN + art.len() * INDEX_ROW_LEN;
+        bytes[data_start..].fill(0xFF);
+        let bumped = u64::from(PLAN_ARTIFACT_VERSION) + 1;
+        assert_eq!(
+            PlanArtifactView::from_bytes(patched(bytes.clone(), 8, PLAN_ARTIFACT_VERSION + 1))
+                .unwrap_err(),
+            PlanArtifactError::UnsupportedVersion {
+                found: bumped,
+                expected: PLAN_ARTIFACT_VERSION
+            }
+        );
+        assert_eq!(
+            PlanArtifactView::from_bytes(patched(bytes.clone(), 12, COST_MODEL_VERSION + 7))
+                .unwrap_err(),
+            PlanArtifactError::CostModelMismatch {
+                found: u64::from(COST_MODEL_VERSION) + 7,
+                expected: COST_MODEL_VERSION
+            }
+        );
+        // No magic: a version-1 JSON file, or anything else.
+        for foreign in [
+            &b"{\"version\":1,\"entries\":[]}"[..],
+            b"PK\x03\x04 not ours",
+        ] {
+            assert_eq!(
+                PlanArtifact::from_bytes(foreign).unwrap_err(),
+                PlanArtifactError::UnsupportedVersion {
+                    found: 0,
+                    expected: PLAN_ARTIFACT_VERSION
+                }
+            );
+        }
+        // The JSON debug form applies the same gate, on the value tree.
         art.version = PLAN_ARTIFACT_VERSION + 1;
-        match PlanArtifact::from_json(&art.to_json()) {
-            Err(PlanArtifactError::UnsupportedVersion { found, expected }) => {
-                assert_eq!(found, u64::from(PLAN_ARTIFACT_VERSION) + 1);
-                assert_eq!(expected, PLAN_ARTIFACT_VERSION);
+        assert_eq!(
+            PlanArtifact::from_json(&art.to_json()).unwrap_err(),
+            PlanArtifactError::UnsupportedVersion {
+                found: bumped,
+                expected: PLAN_ARTIFACT_VERSION
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-        // Unstamped input reports version 0.
-        match PlanArtifact::from_json("{\"entries\":[]}") {
-            Err(PlanArtifactError::UnsupportedVersion { found: 0, .. }) => {}
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cost_model_mismatch_is_a_typed_error() {
-        let mut art = sample_artifact();
+        );
+        art.version = PLAN_ARTIFACT_VERSION;
         art.cost_model = COST_MODEL_VERSION + 7;
-        match PlanArtifact::from_json(&art.to_json()) {
-            Err(PlanArtifactError::CostModelMismatch { found, expected }) => {
-                assert_eq!(found, u64::from(COST_MODEL_VERSION) + 7);
-                assert_eq!(expected, COST_MODEL_VERSION);
-            }
-            other => panic!("expected CostModelMismatch, got {other:?}"),
-        }
+        assert!(matches!(
+            PlanArtifact::from_json(&art.to_json()),
+            Err(PlanArtifactError::CostModelMismatch { .. })
+        ));
+        assert!(matches!(
+            PlanArtifact::from_json("{\"entries\":[]}"),
+            Err(PlanArtifactError::UnsupportedVersion { found: 0, .. })
+        ));
     }
 
     #[test]
     fn malformed_input_is_rejected() {
-        assert!(matches!(
-            PlanArtifact::from_json("{nope"),
-            Err(PlanArtifactError::Malformed(_))
-        ));
-        assert!(matches!(
-            PlanArtifact::from_json("[]"),
-            Err(PlanArtifactError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn merge_keeps_own_entries_and_adopts_missing_ones() {
-        let repo = ModelRepository::new(Box::new(GroupPlanner));
-        let cost = CostModel::default();
-        repo.register_all(
-            vec![
-                optimus_zoo::vgg::vgg11(),
-                optimus_zoo::vgg::vgg16(),
-                optimus_zoo::vgg::vgg19(),
-            ],
-            &cost,
-        );
-        let full = repo.export_plan_artifact(); // 6 directed plans
-        let pair = sample_artifact(); // vgg16 ↔ vgg19 (2 plans)
-
-        let mut merged = pair.clone();
-        let adopted = merged.merge_from(&full);
-        assert_eq!(adopted, full.len() - pair.len());
-        assert_eq!(merged.len(), full.len());
-        // Sorted order restored: key-for-key identical to a full export
-        // (plan *timings* are wall-clock and may differ between runs).
-        for (m, f) in merged.entries.iter().zip(&full.entries) {
-            assert_eq!((m.src_hash, m.dst_hash), (f.src_hash, f.dst_hash));
-            assert_eq!(m.plan.cost, f.plan.cost);
+        for json in ["{nope", "[]"] {
+            assert!(matches!(
+                PlanArtifact::from_json(json),
+                Err(PlanArtifactError::Malformed(_))
+            ));
         }
-        // Self-merge and re-merge adopt nothing.
-        assert_eq!(merged.merge_from(&full), 0);
+        let bytes = vgg_pair().export_plan_artifact().to_bytes();
+        let load = |bytes: &[u8]| PlanArtifactView::from_bytes(bytes.to_vec()).unwrap_err();
+        let is_malformed = |e| matches!(e, PlanArtifactError::Malformed(_));
+        assert!(is_malformed(load(b"")));
+        assert!(is_malformed(load(&bytes[..bytes.len() - 1])));
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(is_malformed(load(&longer)));
+        // An entry count no input of this size could hold.
+        let mut huge = bytes.clone();
+        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(is_malformed(load(&huge)));
+        // Second index row pointing back into the first entry.
+        let mut overlap = bytes.clone();
+        let first_offset = overlap[HEADER_LEN + 16..HEADER_LEN + 24].to_vec();
+        let at = HEADER_LEN + INDEX_ROW_LEN + 16;
+        overlap[at..at + 8].copy_from_slice(&first_offset);
+        assert!(is_malformed(load(&overlap)));
+        // Index rows swapped: keys no longer ascend.
+        let mut swapped = bytes.clone();
+        let (a, b) = swapped[HEADER_LEN..].split_at_mut(INDEX_ROW_LEN);
+        a.swap_with_slice(&mut b[..INDEX_ROW_LEN]);
+        assert!(is_malformed(load(&swapped)));
     }
 
     #[test]
-    fn merge_rejects_version_and_cost_mismatches() {
-        let mut dst = PlanArtifact::empty();
-        let mut stale = sample_artifact();
-        stale.cost_model = COST_MODEL_VERSION + 1;
-        assert_eq!(dst.merge_from(&stale), 0, "stale cost model adopted");
-        stale.cost_model = COST_MODEL_VERSION;
-        stale.version = PLAN_ARTIFACT_VERSION + 1;
-        assert_eq!(dst.merge_from(&stale), 0, "wrong schema version adopted");
-        assert!(dst.is_empty());
+    fn a_clean_view_rewrites_nothing() {
+        let repo = vgg_trio();
+        let cache = repo.export_plan_artifact();
+        assert!(view_of(&cache)
+            .rewrite(&cache, &repo.catalog_hashes())
+            .is_none());
+        // Nothing on disk, nothing cached: still nothing to write.
+        assert!(PlanArtifactView::empty()
+            .rewrite(&PlanArtifact::empty(), &HashSet::new())
+            .is_none());
     }
 
     #[test]
-    fn gc_drops_entries_leaving_the_catalog() {
-        let repo = ModelRepository::new(Box::new(GroupPlanner));
-        let cost = CostModel::default();
-        repo.register_all(
-            vec![
-                optimus_zoo::vgg::vgg11(),
-                optimus_zoo::vgg::vgg16(),
-                optimus_zoo::vgg::vgg19(),
-            ],
-            &cost,
-        );
-        let mut art = repo.export_plan_artifact();
-        assert_eq!(art.len(), 6);
+    fn rewrite_keeps_raw_entries_and_encodes_only_new_plans() {
+        let full = vgg_trio();
+        let cache = full.export_plan_artifact(); // 6 directed plans
+        let pair = vgg_pair().export_plan_artifact(); // 2 of them
+        let live = full.catalog_hashes();
 
-        // Live catalog without vgg19: the four plans touching it go.
-        let survivors = ModelRepository::new(Box::new(GroupPlanner));
-        survivors.register_all(
-            vec![optimus_zoo::vgg::vgg11(), optimus_zoo::vgg::vgg16()],
-            &cost,
-        );
+        // The on-disk pair under names the importer never sees: raw
+        // copies are recognisable in the output.
+        let mut renamed = pair.clone();
+        for e in &mut renamed.entries {
+            Arc::make_mut(&mut e.plan).src_model = "exporter's name".to_string();
+        }
+        let rewrite = view_of(&renamed).rewrite(&cache, &live).unwrap();
+        assert_eq!(rewrite.collected, 0);
+        let merged = PlanArtifact::from_bytes(&rewrite.bytes).unwrap();
+        assert_eq!(merged.len(), cache.len());
+        for (m, c) in merged.entries.iter().zip(&cache.entries) {
+            assert_eq!((m.src_hash, m.dst_hash), (c.src_hash, c.dst_hash));
+            assert_eq!(m.plan.cost, c.plan.cost);
+            let on_disk = pair
+                .entries
+                .iter()
+                .any(|p| (p.src_hash, p.dst_hash) == (c.src_hash, c.dst_hash));
+            assert_eq!(m.plan.src_model == "exporter's name", on_disk);
+        }
+        // What was written is now clean.
+        let view = PlanArtifactView::from_bytes(rewrite.bytes).unwrap();
+        assert!(view.rewrite(&cache, &live).is_none());
+    }
+
+    #[test]
+    fn rewrite_collects_entries_leaving_the_catalog() {
+        let view = view_of(&vgg_trio().export_plan_artifact());
+        assert_eq!(view.len(), 6);
+        // Live catalog without vgg19: the four plans touching it go, and
+        // entries whose partner is merely not cached are kept.
+        let survivors = repo_of(vec![optimus_zoo::vgg::vgg11(), optimus_zoo::vgg::vgg16()]);
         let live = survivors.catalog_hashes();
-        assert_eq!(art.gc(&live), 4);
-        assert_eq!(art.len(), 2);
-        for e in &art.entries {
+        let rewrite = view.rewrite(&PlanArtifact::empty(), &live).unwrap();
+        assert_eq!(rewrite.collected, 4);
+        let kept = PlanArtifact::from_bytes(&rewrite.bytes).unwrap();
+        assert_eq!(kept.len(), 2);
+        for e in &kept.entries {
             assert!(live.contains(&e.src_hash) && live.contains(&e.dst_hash));
         }
-        // GC against the full catalog is a no-op.
-        assert_eq!(art.gc(&repo.catalog_hashes()), 0);
+    }
+
+    #[test]
+    fn a_damaged_entry_is_a_miss_and_is_replaced_on_rewrite() {
+        let repo = vgg_pair();
+        let cache = repo.export_plan_artifact();
+        let mut bytes = cache.to_bytes();
+        // Inside the first entry: its leading string length now claims
+        // more bytes than the entry has. Header and index are intact.
+        let first = HEADER_LEN + 2 * INDEX_ROW_LEN;
+        bytes[first..first + 5].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        assert!(PlanArtifact::from_bytes(&bytes).is_err(), "eager decode");
+        let view = PlanArtifactView::from_bytes(bytes).expect("index is valid");
+        let (bad, good) = (&cache.entries[0], &cache.entries[1]);
+        assert!(matches!(
+            view.get(bad.src_hash, bad.dst_hash),
+            Err(PlanArtifactError::Malformed(_))
+        ));
+        assert!(view.get(good.src_hash, good.dst_hash).unwrap().is_some());
+
+        let warm = ModelRepository::new(Box::new(GroupPlanner));
+        warm.register_all_with_artifact(
+            vec![optimus_zoo::vgg::vgg16(), optimus_zoo::vgg::vgg19()],
+            &CostModel::default(),
+            &view,
+        );
+        assert_eq!(warm.planner_invocations(), 1, "only the damaged pair");
+        let rewrite = view
+            .rewrite(&warm.export_plan_artifact(), &warm.catalog_hashes())
+            .expect("the damaged entry makes the view dirty");
+        assert_eq!(rewrite.collected, 0);
+        assert_eq!(rewrite.bytes, cache.to_bytes(), "healed byte for byte");
+    }
+
+    #[test]
+    fn independently_planned_repositories_export_identical_bytes() {
+        // Different registration paths, different hash-map iteration
+        // orders, different wall-clock planning times: same bytes.
+        let bulk = vgg_trio();
+        let single = ModelRepository::new(Box::new(GroupPlanner));
+        for m in [
+            optimus_zoo::vgg::vgg19(),
+            optimus_zoo::vgg::vgg11(),
+            optimus_zoo::vgg::vgg16(),
+        ] {
+            single.register(m, &CostModel::default());
+        }
+        assert_eq!(
+            bulk.export_plan_artifact().to_bytes(),
+            single.export_plan_artifact().to_bytes()
+        );
     }
 
     #[test]
     fn single_register_with_artifact_replays_persisted_plans() {
         let cost = CostModel::default();
-        let art = sample_artifact();
+        let view = view_of(&vgg_pair().export_plan_artifact());
         let warm = ModelRepository::new(Box::new(GroupPlanner));
-        warm.register_with_artifact(optimus_zoo::vgg::vgg16(), &cost, &art);
-        warm.register_with_artifact(optimus_zoo::vgg::vgg19(), &cost, &art);
+        warm.register_with_artifact(optimus_zoo::vgg::vgg16(), &cost, &view);
+        warm.register_with_artifact(optimus_zoo::vgg::vgg19(), &cost, &view);
         assert_eq!(warm.planner_invocations(), 0, "artifact covered all pairs");
         assert!(warm.decide("vgg16", "vgg19").unwrap().is_transform());
     }
 
     #[test]
-    fn chunks_cover_the_serialized_bytes() {
-        let art = sample_artifact();
-        let json = art.to_json();
-        let chunks = PlanArtifact::chunks_for_bytes(json.as_bytes(), 4096);
+    fn chunks_cover_the_container_bytes() {
+        let art = vgg_pair().export_plan_artifact();
+        let bytes = art.to_bytes();
+        let chunks = PlanArtifact::chunks_for_bytes(&bytes, 4096);
         assert_eq!(
             chunks.iter().map(|c| c.bytes).sum::<u64>(),
-            json.len() as u64
+            bytes.len() as u64
         );
         assert_eq!(chunks, art.chunks(4096), "convenience form agrees");
         // Different payloads never share chunk ids.
-        let other = PlanArtifact::empty();
-        let oc = other.chunks(4096);
-        assert!(oc.is_empty() || chunks.iter().all(|c| c.id != oc[0].id));
+        let oc = PlanArtifact::empty().chunks(4096);
+        assert!(chunks.iter().all(|c| c.id != oc[0].id));
         assert!(PlanArtifact::chunks_for_bytes(b"", 4096).is_empty());
     }
 }

@@ -36,9 +36,10 @@
 //!    clones) together with their *generation* counters.
 //! 2. **Fan-out**: all pairwise plans are computed lock-free, optionally
 //!    across a scoped worker pool (`crossbeam::thread::scope`). When a
-//!    persisted [`PlanArtifact`] is supplied, each pair first probes it
-//!    by `(src content hash, dst content hash)` — a hit skips the
-//!    planner entirely (the warm-load path).
+//!    persisted [`PlanArtifactView`] is supplied, each pair first probes
+//!    its index by `(src content hash, dst content hash)` — a hit decodes
+//!    that one entry and skips the planner (the warm-load path), so a
+//!    registration reads only the entries it uses.
 //! 3. **Install**: an installer mutex serializes installs; a short write
 //!    lock on the catalog re-checks every snapshotted generation (a
 //!    concurrent re-registration forces a re-plan from a fresh snapshot,
@@ -65,7 +66,7 @@ use optimus_profile::CostProvider;
 use optimus_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 
-use crate::artifact::{PlanArtifact, PlanArtifactEntry, PLAN_ARTIFACT_VERSION};
+use crate::artifact::{PlanArtifact, PlanArtifactEntry, PlanArtifactView, PLAN_ARTIFACT_VERSION};
 use crate::metaop::TransformPlan;
 use crate::planner::Planner;
 
@@ -415,16 +416,16 @@ fn build_shards(
     shards.into_iter().map(RwLock::new).collect()
 }
 
-/// Reuse a warm-loaded plan for a task, rebinding the endpoint names when
-/// the exporting repository knew the graphs under different ones.
-fn rebind(hit: &Arc<TransformPlan>, src: &ModelGraph, dst: &ModelGraph) -> Arc<TransformPlan> {
-    if hit.src_model == src.name() && hit.dst_model == dst.name() {
-        return hit.clone();
+/// Bind a freshly decoded plan to a task's endpoints: the exporting
+/// repository may have known the same graphs under other names.
+fn rebind(mut hit: TransformPlan, src: &ModelGraph, dst: &ModelGraph) -> Arc<TransformPlan> {
+    if hit.src_model != src.name() {
+        hit.src_model = src.name().to_string();
     }
-    let mut plan = (**hit).clone();
-    plan.src_model = src.name().to_string();
-    plan.dst_model = dst.name().to_string();
-    Arc::new(plan)
+    if hit.dst_model != dst.name() {
+        hit.dst_model = dst.name().to_string();
+    }
+    Arc::new(hit)
 }
 
 impl ModelRepository {
@@ -543,16 +544,16 @@ impl ModelRepository {
     }
 
     /// [`ModelRepository::register`] warm-loading from a persisted
-    /// [`PlanArtifact`]: pairs touching the new model whose content-hash
-    /// key hits the artifact reuse the persisted plan without invoking
-    /// the planner. The incremental-catalog-growth path — a gateway that
-    /// registers models one at a time replays plans exactly like the
-    /// bulk restart path does.
+    /// [`PlanArtifactView`]: pairs touching the new model whose
+    /// content-hash key hits the artifact reuse the persisted plan
+    /// without invoking the planner. The incremental-catalog-growth
+    /// path — a gateway that registers models one at a time replays
+    /// plans exactly like the bulk restart path does.
     pub fn register_with_artifact(
         &self,
         model: ModelGraph,
         cost: &(dyn CostProvider + Sync),
-        artifact: &PlanArtifact,
+        artifact: &PlanArtifactView,
     ) {
         self.register_batch(vec![model], cost, 1, PlanScope::AllPairs, Some(artifact));
     }
@@ -583,14 +584,15 @@ impl ModelRepository {
     }
 
     /// [`ModelRepository::register_all`] warm-loading from a persisted
-    /// [`PlanArtifact`]: pairs whose `(src content hash, dst content
-    /// hash)` key hits the artifact reuse the persisted plan without
-    /// invoking the planner. The restart/fleet-join path.
+    /// [`PlanArtifactView`]: pairs whose `(src content hash, dst content
+    /// hash)` key hits the artifact's index decode that entry and reuse
+    /// the persisted plan without invoking the planner. The
+    /// restart/fleet-join path.
     pub fn register_all_with_artifact(
         &self,
         models: Vec<ModelGraph>,
         cost: &(dyn CostProvider + Sync),
-        artifact: &PlanArtifact,
+        artifact: &PlanArtifactView,
     ) {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         self.register_batch(models, cost, threads, PlanScope::AllPairs, Some(artifact));
@@ -606,7 +608,7 @@ impl ModelRepository {
         cost: &(dyn CostProvider + Sync),
         threads: usize,
         scope: PlanScope,
-        artifact: Option<&PlanArtifact>,
+        artifact: Option<&PlanArtifactView>,
     ) {
         self.register_batch(models, cost, threads.max(1), scope, artifact);
     }
@@ -619,7 +621,7 @@ impl ModelRepository {
         cost: &(dyn CostProvider + Sync),
         threads: usize,
         scope: PlanScope,
-        artifact: Option<&PlanArtifact>,
+        artifact: Option<&PlanArtifactView>,
     ) {
         if models.is_empty() {
             return;
@@ -647,7 +649,6 @@ impl ModelRepository {
                 }
             })
             .collect();
-        let warm_index = artifact.map(|a| a.index());
         loop {
             // 1. Snapshot the existing catalog under a brief read lock.
             let existing: Vec<ExistingModel> = {
@@ -666,7 +667,7 @@ impl ModelRepository {
             };
             // 2. Fan the pairwise sweep out, lock-free.
             let tasks = self.build_tasks(&new, &existing, scope);
-            let planned = self.execute_tasks(&tasks, cost, threads, warm_index.as_ref());
+            let planned = self.execute_tasks(&tasks, cost, threads, artifact);
             // 3. Install: catalog maps first (one short write lock,
             //    re-checking the snapshot generations), then flush the
             //    affected shards. The installer mutex spans both so a
@@ -814,14 +815,15 @@ impl ModelRepository {
     /// Compute every task's plan: inline for a single worker, otherwise on
     /// a scoped pool pulling tasks off a shared atomic cursor (dynamic
     /// load balancing — plan sizes vary wildly across model pairs). With a
-    /// warm index, each task first probes the persisted artifact by
-    /// content-hash key; hits bypass the planner entirely.
+    /// warm artifact, each task first probes its index by content-hash
+    /// key; a hit is decoded in place of planning (an entry that fails to
+    /// decode is a miss).
     fn execute_tasks(
         &self,
         tasks: &[PlanTask],
         cost: &(dyn CostProvider + Sync),
         threads: usize,
-        warm: Option<&HashMap<(u64, u64), Arc<TransformPlan>>>,
+        warm: Option<&PlanArtifactView>,
     ) -> Vec<Arc<TransformPlan>> {
         let (planning, warm_hit, warm_miss) = {
             let telemetry = self.telemetry.read();
@@ -832,8 +834,8 @@ impl ModelRepository {
             )
         };
         let plan_one = |task: &PlanTask| -> Arc<TransformPlan> {
-            if let Some(index) = warm {
-                if let Some(hit) = index.get(&(task.src_hash, task.dst_hash)) {
+            if let Some(artifact) = warm {
+                if let Ok(Some(hit)) = artifact.get(task.src_hash, task.dst_hash) {
                     warm_hit.inc();
                     return rebind(hit, &task.src, &task.dst);
                 }
@@ -1023,8 +1025,10 @@ impl ModelRepository {
 
     /// Export the plan cache as a content-addressed, version-stamped
     /// [`PlanArtifact`]: every cached plan keyed by its endpoints'
-    /// [`ModelGraph::content_hash`], sorted for byte-determinism. The
-    /// inverse of [`ModelRepository::register_all_with_artifact`].
+    /// [`ModelGraph::content_hash`], sorted for byte-determinism. Plans
+    /// are shared with the cache, not copied. [`PlanArtifact::to_bytes`]
+    /// of the result is what
+    /// [`ModelRepository::register_all_with_artifact`] loads back.
     pub fn export_plan_artifact(&self) -> PlanArtifact {
         let inner = self.inner.read();
         let mut entries: Vec<PlanArtifactEntry> = Vec::new();
@@ -1039,7 +1043,7 @@ impl ModelRepository {
                 entries.push(PlanArtifactEntry {
                     src_hash,
                     dst_hash,
-                    plan: (**plan).clone(),
+                    plan: plan.clone(),
                 });
             }
         }
@@ -1059,8 +1063,8 @@ impl ModelRepository {
     }
 
     /// Content hashes of every registered model — the liveness set for
-    /// [`PlanArtifact::gc`]: an artifact entry whose endpoints are both in
-    /// this set belongs to the current catalog.
+    /// [`PlanArtifactView::rewrite`]: an artifact entry whose endpoints
+    /// are both in this set belongs to the current catalog.
     pub fn catalog_hashes(&self) -> std::collections::HashSet<u64> {
         self.inner.read().hashes.values().copied().collect()
     }
@@ -1484,6 +1488,7 @@ mod tests {
         assert_eq!(cold.planner_invocations(), 2, "two directed pairs planned");
         let artifact = cold.export_plan_artifact();
         assert_eq!(artifact.len(), 2);
+        let artifact = PlanArtifactView::from_bytes(artifact.to_bytes()).unwrap();
 
         // A "restarted node": fresh repository, same catalog, warm-loaded
         // plans — the planner is never invoked.
@@ -1509,7 +1514,8 @@ mod tests {
             &cost,
             2,
         );
-        let artifact = cold.export_plan_artifact();
+        let artifact =
+            PlanArtifactView::from_bytes(cold.export_plan_artifact().to_bytes()).unwrap();
 
         // Warm-load a catalog with one extra model: the persisted pairs
         // hit, the four directions touching vgg19 miss and re-plan.
@@ -1543,7 +1549,8 @@ mod tests {
             &cost,
             2,
         );
-        let artifact = cold.export_plan_artifact();
+        let artifact =
+            PlanArtifactView::from_bytes(cold.export_plan_artifact().to_bytes()).unwrap();
 
         let mut renamed_a = optimus_zoo::vgg::vgg11();
         renamed_a.set_name("model-a");

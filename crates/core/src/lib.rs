@@ -65,8 +65,12 @@ mod munkres;
 mod persist;
 mod planner;
 pub mod scheduler;
+mod wire;
 
-pub use artifact::{PlanArtifact, PlanArtifactEntry, PlanArtifactError, PLAN_ARTIFACT_VERSION};
+pub use artifact::{
+    PlanArtifact, PlanArtifactEntry, PlanArtifactError, PlanArtifactRewrite, PlanArtifactView,
+    PLAN_ARTIFACT_VERSION,
+};
 pub use cache::{ModelRepository, PlanScope, TransformDecision};
 pub use chunks::{plan_chunks, plans_referenced_chunks, PlanChunks};
 pub use executor::{execute_plan, ExecutionReport};

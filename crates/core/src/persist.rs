@@ -103,9 +103,10 @@ impl RepositorySnapshot {
     /// [`SnapshotError::UnsupportedVersion`] when the `version` stamp is
     /// missing or differs from [`SNAPSHOT_VERSION`].
     pub fn from_json(json: &str) -> Result<RepositorySnapshot, SnapshotError> {
-        // Probe the version on the raw value tree before committing to the
+        // Probe the version on the value tree before committing to the
         // struct layout: a v2 snapshot must fail with "unsupported
-        // version", not with whatever field happens to differ first.
+        // version", not with whatever field happens to differ first. The
+        // struct is then built from the same tree — one parse of the text.
         let value: serde_json::Value =
             serde_json::from_str(json).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
         if value.as_object().is_none() {
@@ -120,7 +121,7 @@ impl RepositorySnapshot {
                 expected: SNAPSHOT_VERSION,
             });
         }
-        serde_json::from_str(json).map_err(|e| SnapshotError::Malformed(e.to_string()))
+        serde_json::from_value(value).map_err(|e| SnapshotError::Malformed(e.to_string()))
     }
 }
 

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, TrySendError};
 use optimus_balance::failover_node;
-use optimus_core::{GroupPlanner, ModelRepository, PlanArtifact};
+use optimus_core::{GroupPlanner, ModelRepository, PlanArtifactView};
 use optimus_faults::{FaultInjector, FaultPlan, RequestFaults, RetryPolicy};
 use optimus_llm::LlmConfig;
 use optimus_model::tensor::Tensor;
@@ -48,23 +48,43 @@ pub struct GatewayBuilder {
     metrics: Arc<MetricsRegistry>,
     extra_sinks: Vec<Arc<dyn TelemetrySink>>,
     plan_cache_path: Option<PathBuf>,
+    /// The plan-cache file as read when its path was set (`None`: no
+    /// path, no file, or an incompatible one). Read once per process;
+    /// every registration probes this view and `spawn` compares it with
+    /// the final plan cache to decide whether the file is rewritten.
+    plan_cache: Option<PlanArtifactView>,
     predict_state_path: Option<PathBuf>,
     llm: LlmConfig,
 }
 
 impl GatewayBuilder {
-    /// Persist the plan cache at `path` as a content-addressed
-    /// [`PlanArtifact`], and warm-load from it on startup:
-    /// [`GatewayBuilder::register_all`] probes the artifact by `(src
-    /// content hash, dst content hash)` before invoking the planner, so a
-    /// restarted gateway registers its catalog in seconds instead of
-    /// re-planning O(N²) pairs. Incompatible artifacts (format version,
-    /// cost-model calibration) are ignored and the catalog is re-planned
-    /// cold; the file is rewritten after every bulk registration.
-    /// Warm-load wall-clock lands in `optimus_plan_cache_load_seconds`,
-    /// per-pair outcomes in `optimus_plan_cache_warm_total{result=...}`.
+    /// Persist the plan cache at `path` as a content-addressed plan
+    /// artifact ([`PlanArtifactView`], the binary v2 container), and
+    /// warm-load from it on startup. The file is read here, once:
+    /// header and index are validated, no plan is decoded. Each
+    /// [`GatewayBuilder::register`] / [`GatewayBuilder::register_all`]
+    /// then probes the index by `(src content hash, dst content hash)`
+    /// and decodes only the entries it hits before falling back to the
+    /// planner, so a restarted gateway boots in less time than planning
+    /// its catalog took. Incompatible files (another format version —
+    /// including version-1 JSON — or cost-model calibration, truncation,
+    /// a damaged index) are ignored and the catalog is re-planned cold.
+    ///
+    /// The file is written by [`GatewayBuilder::spawn`], at most once,
+    /// and only when it would change: plans this process had to compute
+    /// are appended, entries whose models left the catalog are dropped
+    /// (`optimus_plan_cache_gc_entries_total`), everything else is copied
+    /// through as raw bytes. A restart that found every plan it needed
+    /// and dropped none does not touch the file. Call before registering
+    /// models. Warm-load wall-clock lands in
+    /// `optimus_plan_cache_load_seconds`, per-pair outcomes in
+    /// `optimus_plan_cache_warm_total{result=...}`.
     pub fn plan_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.plan_cache_path = Some(path.into());
+        let path = path.into();
+        self.plan_cache = std::fs::read(&path)
+            .ok()
+            .and_then(|bytes| PlanArtifactView::from_bytes(bytes).ok());
+        self.plan_cache_path = Some(path);
         self
     }
 
@@ -94,58 +114,42 @@ impl GatewayBuilder {
         self
     }
 
-    /// The on-disk artifact at `plan_cache_path`, if present and
-    /// compatible.
-    fn load_plan_artifact(&self) -> Option<PlanArtifact> {
-        let path = self.plan_cache_path.as_deref()?;
-        let json = std::fs::read_to_string(path).ok()?;
-        PlanArtifact::from_json(&json).ok()
-    }
-
-    /// Rewrite the plan-cache file from the repository's current plan
-    /// cache. Entries already on disk that this process has not
-    /// (re-)planned yet are kept ([`PlanArtifact::merge_from`]) —
-    /// incremental registrations must not erase plans whose partner
-    /// model simply has not been registered *yet*. Garbage collection
-    /// against the catalog runs only with `gc` set, i.e. from
-    /// [`GatewayBuilder::spawn`] once the catalog is final: entries
-    /// whose (src, dst) hashes no longer appear in the registered
-    /// catalog are dropped ([`PlanArtifact::gc`]), so the file cannot
-    /// grow monotonically across deployments that rotate their
-    /// catalogs. Best-effort: a full disk must not stop serving, and
-    /// write-then-rename keeps a crash mid-write from truncating the
-    /// old artifact.
-    fn persist_plan_artifact(&self, gc: bool) {
-        let disk = self.load_plan_artifact();
-        self.persist_plan_artifact_with(disk.as_ref(), gc);
-    }
-
-    /// [`GatewayBuilder::persist_plan_artifact`] with the on-disk
-    /// artifact already in hand — register paths load it once and reuse
-    /// the same copy for both plan probing and the merge-on-write,
-    /// instead of re-reading the (potentially O(catalog²)-entry) file
-    /// from disk a second time per registration.
-    fn persist_plan_artifact_with(&self, disk: Option<&PlanArtifact>, gc: bool) {
+    /// Bring the plan-cache file up to date with the repository's final
+    /// plan cache ([`PlanArtifactView::rewrite`]): a file that already
+    /// holds exactly the live catalog's plans is left alone. Best-effort:
+    /// a full disk must not stop serving, and write-then-rename keeps a
+    /// crash mid-write from truncating the old artifact.
+    fn persist_plan_cache(&mut self) {
         let Some(path) = self.plan_cache_path.as_deref() else {
             return;
         };
-        let mut artifact = self.repo.export_plan_artifact();
-        if let Some(disk) = disk {
-            artifact.merge_from(disk);
-        }
-        if gc {
-            let dropped = artifact.gc(&self.repo.catalog_hashes());
-            if dropped > 0 {
-                self.metrics
-                    .counter("optimus_plan_cache_gc_entries_total", &[])
-                    .add(dropped as u64);
+        // No usable file: whatever is there is replaced, even by an
+        // artifact with no plans in it.
+        let (on_disk, stale) = match self.plan_cache.take() {
+            Some(view) => (view, false),
+            None => (PlanArtifactView::empty(), true),
+        };
+        let rewrite = on_disk.rewrite(
+            &self.repo.export_plan_artifact(),
+            &self.repo.catalog_hashes(),
+        );
+        let bytes = match &rewrite {
+            Some(rewrite) => {
+                if rewrite.collected > 0 {
+                    self.metrics
+                        .counter("optimus_plan_cache_gc_entries_total", &[])
+                        .add(rewrite.collected as u64);
+                }
+                rewrite.bytes.as_slice()
             }
-        }
+            None if stale => on_disk.as_bytes(),
+            None => return,
+        };
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
         let tmp = path.with_extension("tmp");
-        if std::fs::write(&tmp, artifact.to_json()).is_ok() {
+        if std::fs::write(&tmp, bytes).is_ok() {
             let _ = std::fs::rename(&tmp, path);
         }
     }
@@ -153,25 +157,20 @@ impl GatewayBuilder {
     /// Register a model; plans against previously registered models are
     /// computed and cached immediately (§4.4 Module 3). With
     /// [`GatewayBuilder::plan_cache_path`] set, the persisted artifact is
-    /// probed for each (src, dst) pair before invoking the planner and
-    /// rewritten afterwards — single-model registrations persist exactly
-    /// like [`GatewayBuilder::register_all`], so a catalog grown one
-    /// model at a time also survives restarts.
+    /// probed for each (src, dst) pair before invoking the planner —
+    /// single-model registrations warm-load exactly like
+    /// [`GatewayBuilder::register_all`], so a catalog grown one model at
+    /// a time also survives restarts.
     pub fn register(mut self, model: ModelGraph) -> Self {
         self.names.push(model.name().to_string());
-        let disk = self.load_plan_artifact();
-        match &disk {
-            Some(artifact) => {
+        match &self.plan_cache {
+            Some(view) => {
                 let t0 = Instant::now();
-                self.repo
-                    .register_with_artifact(model, &self.cost, artifact);
-                self.metrics
-                    .histogram("optimus_plan_cache_load_seconds", &[])
-                    .observe(t0.elapsed().as_secs_f64());
+                self.repo.register_with_artifact(model, &self.cost, view);
+                self.observe_plan_cache_load(t0);
             }
             None => self.repo.register(model, &self.cost),
         }
-        self.persist_plan_artifact_with(disk.as_ref(), false);
         self
     }
 
@@ -184,20 +183,22 @@ impl GatewayBuilder {
     pub fn register_all(mut self, models: Vec<ModelGraph>) -> Self {
         self.names
             .extend(models.iter().map(|m| m.name().to_string()));
-        let disk = self.load_plan_artifact();
-        match &disk {
-            Some(artifact) => {
+        match &self.plan_cache {
+            Some(view) => {
                 let t0 = Instant::now();
                 self.repo
-                    .register_all_with_artifact(models, &self.cost, artifact);
-                self.metrics
-                    .histogram("optimus_plan_cache_load_seconds", &[])
-                    .observe(t0.elapsed().as_secs_f64());
+                    .register_all_with_artifact(models, &self.cost, view);
+                self.observe_plan_cache_load(t0);
             }
             None => self.repo.register_all(models, &self.cost),
         }
-        self.persist_plan_artifact_with(disk.as_ref(), false);
         self
+    }
+
+    fn observe_plan_cache_load(&self, since: Instant) {
+        self.metrics
+            .histogram("optimus_plan_cache_load_seconds", &[])
+            .observe(since.elapsed().as_secs_f64());
     }
 
     /// Record all telemetry (request counters, phase histograms, plan-cache
@@ -241,12 +242,11 @@ impl GatewayBuilder {
     /// exercised by the simulator instead. The routing table is a dense
     /// vector indexed by interned [`optimus_model::ModelId`] — the
     /// client-facing name is resolved to an id exactly once per request.
-    pub fn spawn(self) -> Gateway {
+    pub fn spawn(mut self) -> Gateway {
         self.repo.set_metrics_registry(&self.metrics);
-        // The catalog is final now: drop persisted plans whose endpoints
-        // are no longer registered (counted in
-        // `optimus_plan_cache_gc_entries_total`).
-        self.persist_plan_artifact(true);
+        // The catalog is final now: the one point at which the plan-cache
+        // file is (re)written, if it has to be.
+        self.persist_plan_cache();
         let mut sinks: Vec<Arc<dyn TelemetrySink>> =
             vec![Arc::new(MetricsSink::new(self.metrics.clone()))];
         sinks.extend(self.extra_sinks);
@@ -498,6 +498,7 @@ impl Gateway {
             metrics: optimus_telemetry::global(),
             extra_sinks: Vec::new(),
             plan_cache_path: None,
+            plan_cache: None,
             predict_state_path: None,
             llm: LlmConfig::default(),
         }

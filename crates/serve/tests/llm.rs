@@ -121,8 +121,8 @@ fn decode_loops_ride_the_submit_poll_api() {
 fn single_registrations_persist_plans_across_restarts() {
     let path = scratch_path("incremental", "plans.json");
 
-    // Cold run: the catalog is grown one model at a time; each step
-    // rewrites the artifact.
+    // Cold run: the catalog is grown one model at a time; spawn writes
+    // the artifact once.
     let cold = Arc::new(MetricsRegistry::new());
     let gw = Gateway::builder(single_node())
         .metrics(cold.clone())
@@ -131,7 +131,7 @@ fn single_registrations_persist_plans_across_restarts() {
         .register(tiny("large", &[4, 8]))
         .spawn();
     assert!(path.exists(), "single-model registration persists");
-    let artifact = PlanArtifact::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let artifact = PlanArtifact::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
     assert_eq!(artifact.len(), 2, "both directions of the pair are cached");
     assert!(
         cold.histogram("optimus_planning_seconds", &[]).count() > 0,
@@ -184,7 +184,7 @@ fn spawn_gc_drops_entries_that_left_the_catalog() {
         .spawn();
     gw.shutdown();
 
-    let artifact = PlanArtifact::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let artifact = PlanArtifact::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
     assert_eq!(
         artifact.len(),
         2,

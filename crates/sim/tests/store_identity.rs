@@ -2,7 +2,8 @@
 //! `SimReport` of every policy under three node-memory budgets (plus one
 //! elastic-fleet `plan_warm` run, so the joiner path provisions stores
 //! mid-run) must hash to the values recorded at commit a0b7c66 — the last
-//! commit whose `NodeStore` rescanned every resident chunk per call.
+//! commit whose `NodeStore` rescanned every resident chunk per call (the
+//! fleet run's at the commit that changed the shipped artifact's bytes).
 //!
 //! The store may get cheaper; it may not price a single byte differently.
 //! A legitimate behaviour change updates the constants below *in the PR
@@ -10,7 +11,7 @@
 
 use std::sync::Arc;
 
-use optimus_core::{GroupPlanner, ModelRepository, PlanArtifact, PlanScope};
+use optimus_core::{GroupPlanner, ModelRepository, PlanScope};
 use optimus_faults::{FaultPlan, FaultSpec};
 use optimus_profile::CostModel;
 use optimus_sim::{
@@ -57,8 +58,13 @@ const EXPECTED: [[u64; 3]; 4] = [
     ],
 ];
 
-/// Same hash for the fleet + `plan_warm` flash crowd.
-const EXPECTED_FLEET: u64 = 0xaf03_025d_1a00_530c;
+/// Same hash for the fleet + `plan_warm` flash crowd. Re-recorded once,
+/// with plan artifact v2: a `plan_warm` joiner is shipped the artifact's
+/// bytes, and that PR changed exactly those (JSON → the binary container,
+/// so fewer bytes per joiner; the 24 hashes above run with `plan_warm` off
+/// and did not move). The container carries no wall-clock field, so the
+/// value is the same in every process, debug or release.
+const EXPECTED_FLEET: u64 = 0x3a07_cfc7_b985_19da;
 
 fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(acc, |h, b| {
@@ -95,26 +101,8 @@ fn repo() -> Arc<ModelRepository> {
         lone_bert(BertSize::Base),
         optimus_zoo::inception::inception_v1(),
     ];
-    let cost = CostModel::default();
-    let register = |artifact: Option<&PlanArtifact>| {
-        let repo = ModelRepository::new(Box::new(GroupPlanner));
-        repo.register_all_scoped(models.clone(), &cost, 1, PlanScope::Window(1), artifact);
-        repo
-    };
-    // Plans record their wall-clock `planning_seconds`, which the
-    // `plan_warm` artifact serialises — its byte length (hence the chunk
-    // bytes a joiner receives) would differ between processes. Plan once,
-    // zero the timings, and install the plans from that artifact.
-    let mut artifact = register(None).export_plan_artifact();
-    for entry in &mut artifact.entries {
-        entry.plan.planning_seconds = 0.0;
-    }
-    let repo = register(Some(&artifact));
-    assert_eq!(
-        repo.planner_invocations(),
-        0,
-        "every plan came from the artifact"
-    );
+    let repo = ModelRepository::new(Box::new(GroupPlanner));
+    repo.register_all_scoped(models, &CostModel::default(), 1, PlanScope::Window(1), None);
     Arc::new(repo)
 }
 

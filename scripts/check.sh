@@ -46,8 +46,12 @@ cargo run --release -q -p optimus-bench --bin exp_llm_transform -- --small --thr
 echo "== decide-path bench smoke (small config) =="
 cargo bench -p optimus-bench --bench decide_path -- --small
 
-echo "== benchmark output checks (quick: every replay valid, first/last replay byte-identical, start-kind shares) =="
+echo "== benchmark output checks (quick: every replay valid, first/last replay byte-identical, start-kind shares, measured boots warm) =="
 benchmark/run.sh --quick --workload sim_replay_full
 benchmark/run.sh --quick --workload serve_gateway_churn
+# The only workload that boots from the plan-cache file: its
+# measured_boots_were_warm check wants every plan from the artifact and
+# zero planner calls.
+benchmark/run.sh --quick --workload serve_http_warm
 
 echo "all checks passed"

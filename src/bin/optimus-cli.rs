@@ -459,7 +459,9 @@ fn cmd_serve(models_csv: &str, opts: &[String]) -> Result<(), String> {
         .collect::<Result<Vec<_>, _>>()?;
     let gateway = std::sync::Arc::new(builder.register_all(models).spawn());
     if let Some(path) = &plan_cache {
-        println!("plan cache: {path} (warm-loaded if present, persisted on registration)");
+        println!(
+            "plan cache: {path} (warm-loaded if present, rewritten only if the catalog changed)"
+        );
     }
     let server = optimus::serve::HttpServer::serve(gateway, port).map_err(|e| e.to_string())?;
     println!("Optimus gateway listening on http://{}", server.addr());
