@@ -5,10 +5,15 @@
 //! Azure-style workloads contain many timer-triggered (periodic) functions
 //! whose next arrival is predictable, which is exactly where proactive
 //! transformation pays off.
+//!
+//! The last row runs the newer arrival predictor
+//! (`PredictConfig::default()`) on the same trace: as long as it reads
+//! worse than mean-gap prewarming here, it has not superseded
+//! `SimConfig::prewarm`.
 
 use optimus_bench::{build_repo, figure13_models, fmt_pct, fmt_s, print_table, save_results};
 use optimus_profile::Environment;
-use optimus_sim::{Platform, Policy, PrewarmConfig, SimConfig, StartKind};
+use optimus_sim::{Platform, Policy, PredictConfig, PrewarmConfig, SimConfig, StartKind};
 use optimus_workload::AzureTraceGenerator;
 
 fn main() {
@@ -24,33 +29,31 @@ fn main() {
     );
     let mut rows = Vec::new();
     let mut json = Vec::new();
-    let cases: Vec<(String, Option<PrewarmConfig>)> = vec![
-        ("Optimus".to_string(), None),
+    let prewarm = |lead: f64| SimConfig {
+        prewarm: Some(PrewarmConfig {
+            lead,
+            min_history: 3,
+        }),
+        ..SimConfig::default()
+    };
+    let cases: Vec<(&str, SimConfig)> = vec![
+        ("Optimus", SimConfig::default()),
+        ("Optimus + prewarm (lead 5 s)", prewarm(5.0)),
+        ("Optimus + prewarm (lead 30 s)", prewarm(30.0)),
         (
-            "Optimus + prewarm (lead 5 s)".to_string(),
-            Some(PrewarmConfig {
-                lead: 5.0,
-                min_history: 3,
-            }),
-        ),
-        (
-            "Optimus + prewarm (lead 30 s)".to_string(),
-            Some(PrewarmConfig {
-                lead: 30.0,
-                min_history: 3,
-            }),
+            "Optimus + predictor (default)",
+            SimConfig {
+                predict: Some(PredictConfig::default()),
+                ..SimConfig::default()
+            },
         ),
     ];
-    for (name, prewarm) in cases {
-        let config = SimConfig {
-            prewarm,
-            ..SimConfig::default()
-        };
+    for (name, config) in cases {
         let report = Platform::new(config, Policy::Optimus, repo.clone()).run(&trace);
         let frac = report.start_fractions();
         let warm = frac.get(&StartKind::Warm).copied().unwrap_or(0.0);
         rows.push(vec![
-            name.clone(),
+            name.to_string(),
             fmt_s(report.avg_service_time()),
             fmt_s(report.percentile_service_time(99.0)),
             fmt_pct(warm),

@@ -6,15 +6,14 @@
 //! `register_all` worker-pool width, plus two properties the parallel
 //! pipeline must preserve:
 //!
-//! 1. **Equivalence** — the parallel plan cache is byte-identical (after
-//!    zeroing volatile host-timing fields) to sequential registration.
+//! 1. **Equivalence** — the parallel plan cache exports the same
+//!    `PlanArtifact` bytes as sequential registration.
 //! 2. **Non-blocking** — `decide()` readers keep answering while a bulk
 //!    registration runs on another thread; the maximum observed reader
 //!    latency is reported next to the warmup duration it overlapped.
 //!
-//! A third section micro-benchmarks the Hungarian kernel itself: the flat
-//! row-major buffer + reusable scratch against the original
-//! `Vec<Vec<f64>>` implementation.
+//! A third section micro-benchmarks the Hungarian kernel itself (flat
+//! row-major buffer + reusable scratch).
 //!
 //! Run with `--small` for the CI configuration (tiny catalog, 2 threads).
 
@@ -23,9 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use optimus_bench::{figure13_models, fmt_s, print_table, save_results};
-use optimus_core::{
-    solve_assignment, solve_assignment_flat, GroupPlanner, ModelRepository, MunkresScratch,
-};
+use optimus_core::{solve_assignment_flat, GroupPlanner, ModelRepository, MunkresScratch};
 use optimus_model::ModelGraph;
 use optimus_profile::CostModel;
 
@@ -84,7 +81,8 @@ fn reader_stall(models: &[ModelGraph], cost: &CostModel, threads: usize) -> (f64
     (warmup, max_decide)
 }
 
-fn kernel_bench(k: usize, solves: usize) -> (f64, f64) {
+/// Seconds per `k×k` solve.
+fn kernel_bench(k: usize, solves: usize) -> f64 {
     let mut state: u64 = 0x9E3779B97F4A7C15 ^ k as u64;
     let mut next = move || {
         state = state
@@ -93,19 +91,12 @@ fn kernel_bench(k: usize, solves: usize) -> (f64, f64) {
         ((state >> 33) as f64) / (1u64 << 31) as f64
     };
     let flat: Vec<f64> = (0..k * k).map(|_| next() * 100.0).collect();
-    let nested: Vec<Vec<f64>> = flat.chunks(k).map(<[f64]>::to_vec).collect();
-    let t0 = Instant::now();
-    for _ in 0..solves {
-        std::hint::black_box(solve_assignment(&nested));
-    }
-    let nested_s = t0.elapsed().as_secs_f64() / solves as f64;
     let mut scratch = MunkresScratch::with_capacity(k);
-    let t1 = Instant::now();
+    let t0 = Instant::now();
     for _ in 0..solves {
         std::hint::black_box(solve_assignment_flat(&flat, k, &mut scratch));
     }
-    let flat_s = t1.elapsed().as_secs_f64() / solves as f64;
-    (nested_s, flat_s)
+    t0.elapsed().as_secs_f64() / solves as f64
 }
 
 fn main() {
@@ -156,14 +147,15 @@ fn main() {
     // Equivalence: parallel registration must publish the exact plan set
     // sequential registration would.
     let eq_models = &all[..catalog_sizes[0].min(all.len())];
-    let seq = build_sequential(eq_models, &cost)
-        .snapshot()
-        .canonicalized()
-        .to_json();
+    let seq_repo = build_sequential(eq_models, &cost);
     let par_repo = ModelRepository::new(Box::new(GroupPlanner));
     par_repo.register_all_with_threads(eq_models.to_vec(), &cost, *thread_counts.last().unwrap());
-    let par = par_repo.snapshot().canonicalized().to_json();
-    let identical = seq == par;
+    let identical = seq_repo.model_names() == par_repo.model_names()
+        && seq_repo
+            .model_names()
+            .iter()
+            .all(|name| seq_repo.load_cost(name) == par_repo.load_cost(name))
+        && seq_repo.export_plan_artifact().to_bytes() == par_repo.export_plan_artifact().to_bytes();
     println!(
         "\nparallel vs sequential plan cache: {}",
         if identical {
@@ -182,25 +174,15 @@ fn main() {
         stall_warmup, max_decide
     );
 
-    println!("\nHungarian kernel: flat buffer + scratch vs nested Vec<Vec<f64>>\n");
+    println!("\nHungarian kernel (flat buffer + scratch)\n");
     let mut krows = Vec::new();
     let mut kernel_json = Vec::new();
     for &k in &kernel_dims {
-        let (nested_s, flat_s) = kernel_bench(k, kernel_solves);
-        krows.push(vec![
-            format!("{k}x{k}"),
-            format!("{:.3} ms", 1e3 * nested_s),
-            format!("{:.3} ms", 1e3 * flat_s),
-            format!("{:.2}x", nested_s / flat_s),
-        ]);
-        kernel_json.push(serde_json::json!({
-            "dim": k,
-            "nested_s": nested_s,
-            "flat_s": flat_s,
-            "speedup": nested_s / flat_s,
-        }));
+        let flat_s = kernel_bench(k, kernel_solves);
+        krows.push(vec![format!("{k}x{k}"), format!("{:.3} ms", 1e3 * flat_s)]);
+        kernel_json.push(serde_json::json!({ "dim": k, "flat_s": flat_s }));
     }
-    print_table(&["Matrix", "Nested", "Flat+scratch", "Speedup"], &krows);
+    print_table(&["Matrix", "Solve"], &krows);
 
     // The small CI configuration writes to its own file so a smoke run
     // never clobbers the committed full-sweep results.

@@ -1,17 +1,13 @@
-//! Serving-front-end scaling — pooled keep-alive core vs the
-//! thread-per-connection baseline, over real TCP.
+//! Serving-front-end scaling over real TCP.
 //!
 //! An open-loop load generator drives a live `HttpServer` (real sockets,
-//! real HTTP/1.1) along a trajectory of increasing connection counts and
-//! offered rates, once per front-end mode:
-//!
-//! * **thread-per-conn** — the legacy front end: every request opens a
-//!   fresh connection, the server spawns a thread per accept and blocks
-//!   it on inference (`Connection: close`).
-//! * **pooled** — the production core: persistent keep-alive
-//!   connections, sharded accept loops, a fixed HTTP worker pool that
-//!   never blocks on inference, per-model batching at the serving
-//!   workers, and bounded admission queues that shed overload with 429.
+//! real HTTP/1.1: persistent keep-alive connections, sharded accept
+//! loops, a fixed HTTP worker pool that never blocks on inference,
+//! per-model batching at the serving workers, and bounded admission
+//! queues that shed overload with 429) along a trajectory of increasing
+//! connection counts and offered rates. The thread-per-connection front
+//! end this one replaced was measured on the same trajectory before it
+//! was retired; EXPERIMENTS.md quotes those numbers.
 //!
 //! Every client schedules arrivals on a fixed clock (open loop): latency
 //! is measured from the *scheduled* send time, so a front end that falls
@@ -22,14 +18,13 @@
 //!
 //! Machine-checked:
 //! * bookkeeping — every scheduled request is accounted for
-//!   (`sent == ok + rejected + errors`) in both modes, and the pooled
-//!   core never drops a connection (`errors == 0`);
-//! * backpressure — at the top of the trajectory the pooled core sheds
-//!   load with 429s while the p99 of *admitted* requests stays bounded
-//!   (no unbounded queue growth);
-//! * (full run only) goodput — the pooled core sustains ≥ 5× the
-//!   thread-per-connection goodput at equal-or-better p99, and a repeat
-//!   of the peak point reproduces its goodput within noise bounds.
+//!   (`sent == ok + rejected + errors`), and no connection is ever
+//!   dropped (`errors == 0`);
+//! * (full run only) backpressure — at the top of the trajectory the
+//!   front end sheds load with 429s while the p99 of *admitted* requests
+//!   stays bounded (no unbounded queue growth);
+//! * (full run only) repeatability — a repeat of the peak point
+//!   reproduces its goodput within noise bounds.
 //!
 //! Optional args: `--small` (CI configuration), `--duration <seconds>`.
 
@@ -40,9 +35,7 @@ use std::time::{Duration, Instant};
 
 use optimus_bench::{print_table, save_results};
 use optimus_model::{Activation, GraphBuilder, ModelGraph};
-use optimus_serve::{
-    FrontendMode, Gateway, GatewayConfig, HttpConfig, HttpServer, MetricsRegistry, ServingConfig,
-};
+use optimus_serve::{Gateway, GatewayConfig, HttpServer, MetricsRegistry, ServingConfig};
 
 fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
     args.iter()
@@ -66,30 +59,6 @@ fn tiny(name: &str, out_ch: usize) -> ModelGraph {
     b.finish().unwrap()
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    ThreadPerConn,
-    Pooled,
-}
-
-impl Mode {
-    const ALL: [Mode; 2] = [Mode::ThreadPerConn, Mode::Pooled];
-
-    fn name(self) -> &'static str {
-        match self {
-            Mode::ThreadPerConn => "thread-per-conn",
-            Mode::Pooled => "pooled",
-        }
-    }
-
-    fn frontend(self) -> FrontendMode {
-        match self {
-            Mode::ThreadPerConn => FrontendMode::ThreadPerConn,
-            Mode::Pooled => FrontendMode::Pooled,
-        }
-    }
-}
-
 /// One trajectory point: `conns` client connections offering `offered`
 /// requests per second in aggregate.
 #[derive(Clone, Copy)]
@@ -100,7 +69,6 @@ struct Point {
 
 #[derive(Clone)]
 struct PointResult {
-    mode: &'static str,
     conns: usize,
     offered: f64,
     sent: usize,
@@ -192,15 +160,12 @@ fn infer_request(model: &str, keep_alive: bool) -> Vec<u8> {
 /// share of the offered rate on a fixed open-loop schedule. Requests
 /// alternate between the two registered models so both serving nodes see
 /// traffic and the batching window has same-model runs to group.
-fn run_point(addr: SocketAddr, mode: Mode, point: Point, duration: f64) -> PointResult {
+fn run_point(addr: SocketAddr, point: Point, duration: f64) -> PointResult {
     let per_conn = point.offered / point.conns as f64;
     let interval = Duration::from_secs_f64(1.0 / per_conn);
     let requests_per_conn = ((duration * per_conn).round() as usize).max(1);
     // Pre-rendered request bytes (one per model) shared by every client.
-    let raw: Arc<[Vec<u8>; 2]> = Arc::new([
-        infer_request("ma", mode == Mode::Pooled),
-        infer_request("mb", mode == Mode::Pooled),
-    ]);
+    let raw: Arc<[Vec<u8>; 2]> = Arc::new([infer_request("ma", true), infer_request("mb", true)]);
 
     let start = Instant::now() + Duration::from_millis(50);
     let mut clients = Vec::new();
@@ -211,11 +176,7 @@ fn run_point(addr: SocketAddr, mode: Mode, point: Point, duration: f64) -> Point
         clients.push(std::thread::spawn(move || {
             let mut samples: Vec<(u16, f64, f64)> = Vec::with_capacity(requests_per_conn);
             let mut errors = 0usize;
-            let mut persistent = if mode == Mode::Pooled {
-                connect(addr).ok()
-            } else {
-                None
-            };
+            let mut persistent = connect(addr).ok();
             for k in 0..requests_per_conn {
                 let scheduled = start + phase + interval.mul_f64(k as f64);
                 if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
@@ -223,20 +184,15 @@ fn run_point(addr: SocketAddr, mode: Mode, point: Point, duration: f64) -> Point
                 }
                 let raw = &raw[(conn_id + k) % 2];
                 let sent_at = Instant::now();
-                let outcome = match mode {
-                    Mode::ThreadPerConn => oneshot_request(addr, raw),
-                    Mode::Pooled => {
-                        if persistent.is_none() {
-                            persistent = connect(addr).ok();
-                        }
-                        match persistent.as_mut() {
-                            Some((stream, reader)) => stream
-                                .write_all(raw)
-                                .and_then(|()| read_keep_alive_response(reader))
-                                .inspect_err(|_| persistent = None),
-                            None => Err(std::io::ErrorKind::ConnectionRefused.into()),
-                        }
-                    }
+                if persistent.is_none() {
+                    persistent = connect(addr).ok();
+                }
+                let outcome = match persistent.as_mut() {
+                    Some((stream, reader)) => stream
+                        .write_all(raw)
+                        .and_then(|()| read_keep_alive_response(reader))
+                        .inspect_err(|_| persistent = None),
+                    None => Err(std::io::ErrorKind::ConnectionRefused.into()),
                 };
                 match outcome {
                     Ok(code) => {
@@ -286,7 +242,6 @@ fn run_point(addr: SocketAddr, mode: Mode, point: Point, duration: f64) -> Point
         lat[idx] * 1e3
     };
     PointResult {
-        mode: mode.name(),
         conns: point.conns,
         offered: point.offered,
         sent: point.conns * requests_per_conn,
@@ -303,9 +258,9 @@ fn run_point(addr: SocketAddr, mode: Mode, point: Point, duration: f64) -> Point
     }
 }
 
-/// Fresh gateway + server per mode so per-mode metrics and container
-/// state never bleed across runs.
-fn start_server(mode: Mode, serving: ServingConfig) -> (Arc<Gateway>, HttpServer) {
+/// Fresh gateway + server per run so metrics and container state never
+/// bleed from the trajectory into its repeat.
+fn start_server(serving: ServingConfig) -> (Arc<Gateway>, HttpServer) {
     let gw = Arc::new(
         Gateway::builder(GatewayConfig {
             nodes: 2,
@@ -324,15 +279,7 @@ fn start_server(mode: Mode, serving: ServingConfig) -> (Arc<Gateway>, HttpServer
         .register(tiny("mb", 4))
         .spawn(),
     );
-    let server = HttpServer::serve_with(
-        gw.clone(),
-        0,
-        HttpConfig {
-            mode: mode.frontend(),
-            ..HttpConfig::default()
-        },
-    )
-    .expect("binds an ephemeral port");
+    let server = HttpServer::serve(gw.clone(), 0).expect("binds an ephemeral port");
     (gw, server)
 }
 
@@ -342,11 +289,8 @@ fn main() {
     let default_duration = if small { 0.5 } else { 1.0 };
     let duration: f64 = arg(&args, "--duration", default_duration);
     // The trajectory ramps connections and offered rate together; the
-    // final point offers more than either front end can serve, which is
-    // where admission control must take over. Totals are sized so the
-    // close-per-request baseline stays inside the ephemeral-port budget
-    // (every `Connection: close` request burns a TIME_WAIT tuple —
-    // itself part of why the thread-per-connection design collapses).
+    // final point offers more than the front end can serve, which is
+    // where admission control must take over.
     let trajectory: Vec<Point> = if small {
         vec![
             Point {
@@ -397,8 +341,8 @@ fn main() {
     };
 
     let mut results: Vec<PointResult> = Vec::new();
-    for mode in Mode::ALL {
-        let (gw, server) = start_server(mode, serving);
+    {
+        let (gw, server) = start_server(serving);
         let addr = server.addr();
         // One warmup request per model: container cold starts happen
         // here, not inside a measured point.
@@ -407,7 +351,7 @@ fn main() {
             assert_eq!(code, 200, "warmup request for {model} failed");
         }
         for &point in &trajectory {
-            results.push(run_point(addr, mode, point, duration));
+            results.push(run_point(addr, point, duration));
             // Let queues drain between points.
             std::thread::sleep(Duration::from_millis(200));
         }
@@ -424,7 +368,6 @@ fn main() {
     };
     print_table(
         &[
-            "mode",
             "conns",
             "offered/s",
             "sent",
@@ -441,7 +384,6 @@ fn main() {
             .iter()
             .map(|r| {
                 vec![
-                    r.mode.to_string(),
                     r.conns.to_string(),
                     format!("{:.0}", r.offered),
                     r.sent.to_string(),
@@ -463,59 +405,43 @@ fn main() {
         assert_eq!(
             r.sent,
             r.ok + r.rejected + r.errors,
-            "{} at {} conns / {:.0} rps: requests leaked from the bookkeeping",
-            r.mode,
+            "{} conns / {:.0} rps: requests leaked from the bookkeeping",
             r.conns,
             r.offered
         );
         assert!(
             r.ok > 0,
-            "{} at {} conns / {:.0} rps served nothing",
-            r.mode,
+            "{} conns / {:.0} rps served nothing",
             r.conns,
             r.offered
         );
-    }
-    for r in results.iter().filter(|r| r.mode == "pooled") {
         assert_eq!(
             r.errors, 0,
-            "pooled front end dropped {} requests at {} conns / {:.0} rps: \
+            "the front end dropped {} requests at {} conns / {:.0} rps: \
              persistent connections must never be dropped",
             r.errors, r.conns, r.offered
         );
     }
 
-    // The comparison point is the top of the trajectory: the offered
-    // load exceeds what either front end can serve, so goodput there is
-    // each design's sustained capacity under overload.
-    let at_overload = |mode: &str| {
-        results
-            .iter()
-            .rfind(|r| r.mode == mode)
-            .expect("trajectory is non-empty")
-            .clone()
-    };
-    let baseline_over = at_overload("thread-per-conn");
-    let overload = at_overload("pooled");
-    let ratio = overload.goodput / baseline_over.goodput;
+    // The top of the trajectory offers more than the front end can
+    // serve, so goodput there is its sustained capacity under overload.
+    let overload = results.last().expect("trajectory is non-empty").clone();
     println!(
-        "\nat overload ({} conns, {:.0} offered/s):",
-        overload.conns, overload.offered
-    );
-    println!(
-        "  thread-per-conn: {:.0} req/s, p99 {:.0} ms, rtt p99 {:.0} ms",
-        baseline_over.goodput, baseline_over.p99_ms, baseline_over.rtt_p99_ms
-    );
-    println!(
-        "  pooled:          {:.0} req/s, p99 {:.0} ms, rtt p99 {:.0} ms, {} rejected — {ratio:.1}x goodput",
-        overload.goodput, overload.p99_ms, overload.rtt_p99_ms, overload.rejected
+        "\nat overload ({} conns, {:.0} offered/s): {:.0} req/s, p99 {:.0} ms, \
+         rtt p99 {:.0} ms, {} rejected",
+        overload.conns,
+        overload.offered,
+        overload.goodput,
+        overload.p99_ms,
+        overload.rtt_p99_ms,
+        overload.rejected
     );
     if !small {
-        // Backpressure: the pooled core must shed the excess with 429
-        // and keep the on-wire tail of admitted requests bounded — the
-        // queues cannot grow without bound. (The scheduled-time p99
-        // grows at overload for *any* front end: that is the open-loop
-        // generator's own debt, not server queueing.)
+        // Backpressure: the excess must be shed with 429 and the on-wire
+        // tail of admitted requests stay bounded — the queues cannot
+        // grow without bound. (The scheduled-time p99 grows at overload
+        // for *any* front end: that is the open-loop generator's own
+        // debt, not server queueing.)
         assert!(
             overload.rejected > 0,
             "the overload point ({} conns / {:.0} rps offered, {:.0} served) never \
@@ -526,46 +452,25 @@ fn main() {
         );
         assert!(
             overload.rtt_p99_ms < 500.0,
-            "pooled on-wire p99 at overload is {:.1} ms: bounded queues must keep \
+            "on-wire p99 at overload is {:.1} ms: bounded queues must keep \
              the admitted tail flat",
             overload.rtt_p99_ms
         );
-        // Goodput: ≥ 5× the thread-per-connection baseline at equal (in
-        // fact strictly better) p99 — the baseline's tail at the same
-        // point is its collapse, the pooled tail is its admission knee.
-        assert!(
-            ratio >= 5.0,
-            "pooled goodput at overload is only {ratio:.1}x the thread-per-conn \
-             baseline (pooled {:.0} vs baseline {:.0} req/s)",
-            overload.goodput,
-            baseline_over.goodput
-        );
-        assert!(
-            overload.p99_ms <= baseline_over.p99_ms
-                && overload.rtt_p99_ms <= baseline_over.rtt_p99_ms,
-            "the goodput win must come at equal-or-better p99 \
-             (pooled {:.0}/{:.0} ms vs baseline {:.0}/{:.0} ms scheduled/on-wire)",
-            overload.p99_ms,
-            overload.rtt_p99_ms,
-            baseline_over.p99_ms,
-            baseline_over.rtt_p99_ms
-        );
     }
 
-    // Repeatability (full run): rerun the pooled overload point once on
+    // Repeatability (full run): rerun the overload point once on
     // a fresh server; wall-clock percentiles are noisy, but goodput at a
     // fixed open-loop schedule must reproduce within a generous noise
     // bound.
     let repeat = if small {
         None
     } else {
-        let (gw, server) = start_server(Mode::Pooled, serving);
+        let (gw, server) = start_server(serving);
         for model in ["ma", "mb"] {
             let _ = oneshot_request(server.addr(), &infer_request(model, false));
         }
         let r = run_point(
             server.addr(),
-            Mode::Pooled,
             Point {
                 conns: overload.conns,
                 offered: overload.offered,
@@ -578,12 +483,12 @@ fn main() {
         let hi = overload.goodput.max(r.goodput);
         assert!(
             hi / lo < 2.0,
-            "pooled goodput did not reproduce: {:.0} vs {:.0} req/s on rerun",
+            "goodput did not reproduce: {:.0} vs {:.0} req/s on rerun",
             overload.goodput,
             r.goodput
         );
         println!(
-            "repeat of the pooled overload point: {:.0} req/s, rtt p99 {:.2} ms",
+            "repeat of the overload point: {:.0} req/s, rtt p99 {:.2} ms",
             r.goodput, r.rtt_p99_ms
         );
         Some(r)
@@ -591,7 +496,6 @@ fn main() {
 
     let point_json = |r: &PointResult| {
         serde_json::json!({
-            "mode": r.mode,
             "conns": r.conns,
             "offered_rps": r.offered,
             "sent": r.sent,
@@ -622,18 +526,6 @@ fn main() {
                 "max_batch_wait_us": serving.max_batch_wait_us,
             },
             "trajectory": results.iter().map(point_json).collect::<Vec<_>>(),
-            "comparison_at_overload": {
-                "conns": overload.conns,
-                "offered_rps": overload.offered,
-                "baseline_goodput_rps": baseline_over.goodput,
-                "baseline_p99_ms": baseline_over.p99_ms,
-                "baseline_rtt_p99_ms": baseline_over.rtt_p99_ms,
-                "pooled_goodput_rps": overload.goodput,
-                "pooled_p99_ms": overload.p99_ms,
-                "pooled_rtt_p99_ms": overload.rtt_p99_ms,
-                "pooled_rejected_429": overload.rejected,
-                "goodput_ratio": ratio,
-            },
             "repeat": repeat.as_ref().map(point_json),
         }),
     );

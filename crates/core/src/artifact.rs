@@ -24,8 +24,7 @@
 //! | 32 · n | index rows `(src_hash, dst_hash, offset, len)`, four `u64` LE, strictly ascending by `(src_hash, dst_hash)` |
 //! | Σ len | one self-contained encoded [`TransformPlan`] per row (see `wire.rs`), in index order, no gaps, the last ending at end of input |
 //!
-//! The two stamps follow the `SNAPSHOT_VERSION` pattern of
-//! [`crate::persist`]: the format version guards the *layout*, the
+//! Of the two stamps, the format version guards the *layout* and the
 //! cost-model version guards the *semantics* — a plan computed against
 //! one cost calibration must not be replayed against another. Both are
 //! checked before the index is read, and the index before any entry, so

@@ -7,23 +7,25 @@
 //! scratch-load cost, falling back to a plain load whenever transformation
 //! would not help, so worst-case performance equals a traditional platform.
 //!
-//! # Sharded decide path
+//! # One store, sharded
 //!
-//! The request-hot [`ModelRepository::decide_by_id`] never touches the
-//! string-keyed catalog maps: everything a decision needs — the
-//! destination's scratch-load cost, its model graph, and the map of plans
-//! *into* it keyed by source [`ModelId`] — lives in a **lock-striped
-//! shard** selected by `dst.index() & (shards - 1)`. A decision takes one
-//! shard read lock; a registration installing into other shards contends
-//! with none of it, and even installs into the *same* shard hold its
-//! write lock only for the final flush (planning runs lock-free). Memory
-//! is proportional to the number of cached plans (per-destination hash
-//! maps), not to N² — the dense id×id plan matrix this replaces would be
-//! 800 MB of `Option` pointers at a 10k-model catalog.
+//! The catalog lives once, in **lock-striped shards** selected by
+//! `id.index() & (shards - 1)`. A model's slot holds everything known
+//! about it — its graph, scratch-load cost and content hash — plus the
+//! map of plans *into* it keyed by source [`ModelId`], so a
+//! [`ModelRepository::decide_by_id`] is one shard read lock. A
+//! registration installing into other shards contends with none of it,
+//! and even installs into the *same* shard hold its write lock only for
+//! the final flush (planning runs lock-free). Memory is proportional to
+//! the number of cached plans (per-destination hash maps), not to N² —
+//! a dense id×id plan matrix would be 800 MB of `Option` pointers at a
+//! 10k-model catalog.
 //!
-//! The name-keyed [`ModelRepository::decide`] resolves ids through the
-//! interner and delegates to `decide_by_id`, so there is exactly one
-//! lookup implementation.
+//! Every name-keyed getter ([`ModelRepository::decide`], `model`,
+//! `load_cost`, `plan`, `transform_latency`) resolves ids through the
+//! interner and then takes that same slot read, so there is exactly one
+//! lookup implementation; whole-catalog views (`model_names`,
+//! `export_plan_artifact`, …) walk the shards.
 //!
 //! # Registration concurrency
 //!
@@ -32,19 +34,23 @@
 //! [`ModelRepository::register_all`] — follows a snapshot → fan-out →
 //! install pipeline:
 //!
-//! 1. **Snapshot**: a brief read lock captures the existing models (Arc
-//!    clones) together with their *generation* counters.
+//! 1. **Snapshot**: under the installer mutex (so no install is half
+//!    flushed), the published models are captured as Arc clones together
+//!    with the catalog epoch.
 //! 2. **Fan-out**: all pairwise plans are computed lock-free, optionally
 //!    across a scoped worker pool (`crossbeam::thread::scope`). When a
 //!    persisted [`PlanArtifactView`] is supplied, each pair first probes
 //!    its index by `(src content hash, dst content hash)` — a hit decodes
 //!    that one entry and skips the planner (the warm-load path), so a
 //!    registration reads only the entries it uses.
-//! 3. **Install**: an installer mutex serializes installs; a short write
-//!    lock on the catalog re-checks every snapshotted generation (a
-//!    concurrent re-registration forces a re-plan from a fresh snapshot,
-//!    so a stale plan is never published), then the affected shards are
-//!    flushed one write lock at a time.
+//! 3. **Install**: the installer mutex serializes installs. If the epoch
+//!    moved since the snapshot, another registration changed the catalog
+//!    while this one planned: the batch is discarded and re-planned from
+//!    a fresh snapshot, so a stale plan is never published. Otherwise
+//!    the install runs in two phases — intern the new names and flush
+//!    every plan, one shard write lock at a time, *then* publish the new
+//!    models' slots, then bump the epoch — so a request that can see a
+//!    new model can also see every plan into and out of it.
 //!
 //! # Catalog-scale registration
 //!
@@ -247,57 +253,41 @@ impl OverrunGuard {
     }
 }
 
-/// One lock stripe of the decide path, owning every id whose index maps
-/// to it (`id.index() & (shards - 1)`). Slot `id.index() >> shard_bits`
-/// within the stripe holds everything a `decide(…, dst=id)` needs, so a
-/// decision is exactly one shard read lock.
+/// A registered model as requests see it.
+struct Registered {
+    graph: Arc<ModelGraph>,
+    /// Profiled scratch-load cost (s).
+    load: f64,
+    /// [`ModelGraph::content_hash`] — one half of a plan-artifact key.
+    hash: u64,
+}
+
+/// Everything the repository holds about one [`ModelId`]: the only
+/// resident owner of the model's graph and of the plans into it.
+#[derive(Default)]
+struct Slot {
+    /// `None` until the model's registration publishes it; its id may
+    /// already be interned and its plans flushed by then.
+    model: Option<Registered>,
+    /// Plans *into* this model, keyed by source [`ModelId`]. Memory is
+    /// proportional to cached plans, never to catalog².
+    plans_in: HashMap<ModelId, Arc<TransformPlan>>,
+}
+
+/// One lock stripe, owning every id whose index maps to it
+/// (`id.index() & (shards - 1)`) at slot `id.index() >> shard_bits`.
 #[derive(Default)]
 struct Shard {
-    /// Scratch-load cost per slot (`NAN` = not registered).
-    load_costs: Vec<f64>,
-    /// Model graph per slot (feeds `plan_chunks_by_id`).
-    models: Vec<Option<Arc<ModelGraph>>>,
-    /// Plans *into* the slot's model, keyed by source [`ModelId`]. Memory
-    /// is proportional to cached plans, never to catalog².
-    plans_in: Vec<HashMap<ModelId, Arc<TransformPlan>>>,
+    slots: Vec<Slot>,
 }
 
 impl Shard {
-    fn ensure(&mut self, slot: usize) {
-        if slot >= self.load_costs.len() {
-            self.load_costs.resize(slot + 1, f64::NAN);
-            self.models.resize(slot + 1, None);
-            self.plans_in.resize_with(slot + 1, HashMap::new);
+    fn slot_mut(&mut self, slot: usize) -> &mut Slot {
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, Slot::default);
         }
+        &mut self.slots[slot]
     }
-
-    fn apply(&mut self, op: FlushOp) {
-        match op {
-            FlushOp::Model { slot, load, model } => {
-                self.ensure(slot);
-                self.load_costs[slot] = load;
-                self.models[slot] = Some(model);
-            }
-            FlushOp::Plan { slot, src, plan } => {
-                self.ensure(slot);
-                self.plans_in[slot].insert(src, plan);
-            }
-        }
-    }
-}
-
-/// One buffered shard mutation of an install's flush phase.
-enum FlushOp {
-    Model {
-        slot: usize,
-        load: f64,
-        model: Arc<ModelGraph>,
-    },
-    Plan {
-        slot: usize,
-        src: ModelId,
-        plan: Arc<TransformPlan>,
-    },
 }
 
 /// Global model repository with an offline-computed plan cache.
@@ -306,16 +296,16 @@ enum FlushOp {
 /// simulated nodes read plans concurrently.
 pub struct ModelRepository {
     planner: Box<dyn Planner + Send + Sync>,
-    inner: RwLock<Inner>,
     /// Name ↔ id table, in its own lock so id resolution never contends
     /// with catalog installs.
     ids: RwLock<Interner<ModelId>>,
-    /// Lock stripes of the decide path; length is a power of two.
+    /// The catalog, lock-striped; length is a power of two.
     shards: Box<[RwLock<Shard>]>,
     /// `log2(shards.len())` — slot within a shard is `index >> shard_bits`.
     shard_bits: u32,
-    /// Serializes install+flush phases so shard state can never lag a
-    /// *later* install's flush (planning still runs concurrently).
+    /// Serializes installs, and is held by every reader that needs one
+    /// consistent view of the whole catalog: while it is held no install
+    /// is half flushed (planning still runs concurrently).
     install: Mutex<()>,
     /// Times the planner was actually invoked (artifact warm-load hits
     /// don't count) — the "restarted node never re-plans" machine check.
@@ -333,23 +323,6 @@ pub struct ModelRepository {
     telemetry: RwLock<RepoTelemetry>,
 }
 
-/// Catalog state behind the (cold-path) lock: the string-keyed source of
-/// truth for persistence, snapshots, and name-based getters. The decide
-/// hot path reads the [`Shard`]s instead.
-#[derive(Default)]
-struct Inner {
-    models: HashMap<Arc<str>, Arc<ModelGraph>>,
-    load_costs: HashMap<Arc<str>, f64>,
-    plans: HashMap<Arc<str>, HashMap<Arc<str>, Arc<TransformPlan>>>,
-    /// Per-model registration generation: bumped every time a name is
-    /// (re-)registered. The install phase uses it to detect that a model
-    /// snapshotted for planning was re-registered concurrently.
-    generations: HashMap<Arc<str>, u64>,
-    /// Content hash per model ([`ModelGraph::content_hash`]) — the
-    /// plan-artifact cache key halves.
-    hashes: HashMap<Arc<str>, u64>,
-}
-
 /// A model being installed by the current batch.
 struct NewModel {
     name: Arc<str>,
@@ -360,10 +333,8 @@ struct NewModel {
 
 /// A pre-existing model snapshotted for planning.
 struct ExistingModel {
-    name: Arc<str>,
     model: Arc<ModelGraph>,
     hash: u64,
-    generation: u64,
 }
 
 /// One directed planning job of a registration batch.
@@ -380,40 +351,6 @@ struct PlanTask {
 fn default_shard_count() -> usize {
     let cores = std::thread::available_parallelism().map_or(8, std::num::NonZero::get);
     (cores * 2).next_power_of_two().clamp(8, 128)
-}
-
-/// Build a fresh stripe set from the catalog (restore and re-shard paths).
-fn build_shards(
-    count: usize,
-    shard_bits: u32,
-    inner: &Inner,
-    ids: &Interner<ModelId>,
-) -> Box<[RwLock<Shard>]> {
-    let mask = count - 1;
-    let mut shards: Vec<Shard> = (0..count).map(|_| Shard::default()).collect();
-    for (name, model) in &inner.models {
-        let id = ids.get(name).expect("registered name is interned");
-        let slot = id.index() >> shard_bits;
-        let shard = &mut shards[id.index() & mask];
-        shard.ensure(slot);
-        shard.load_costs[slot] = inner.load_costs.get(name).copied().unwrap_or(f64::NAN);
-        shard.models[slot] = Some(model.clone());
-    }
-    for (src, per_src) in &inner.plans {
-        let Some(si) = ids.get(src) else {
-            continue;
-        };
-        for (dst, plan) in per_src {
-            let Some(di) = ids.get(dst) else {
-                continue;
-            };
-            let slot = di.index() >> shard_bits;
-            let shard = &mut shards[di.index() & mask];
-            shard.ensure(slot);
-            shard.plans_in[slot].insert(si, plan.clone());
-        }
-    }
-    shards.into_iter().map(RwLock::new).collect()
 }
 
 /// Bind a freshly decoded plan to a task's endpoints: the exporting
@@ -435,7 +372,6 @@ impl ModelRepository {
         let count = default_shard_count();
         ModelRepository {
             planner,
-            inner: RwLock::new(Inner::default()),
             ids: RwLock::new(Interner::new()),
             shards: (0..count).map(|_| RwLock::new(Shard::default())).collect(),
             shard_bits: count.trailing_zeros(),
@@ -463,25 +399,55 @@ impl ModelRepository {
         self
     }
 
-    /// Override the decide-path stripe count (rounded up to a power of
-    /// two; `1` = the single-map baseline). Rebuilds the stripes from the
-    /// catalog, so it is safe after registrations too — but it takes
+    /// Override the stripe count (rounded up to a power of two; `1` =
+    /// the single-map baseline). Moves every slot to its stripe in the
+    /// new layout, so it is safe after registrations too — but it takes
     /// `self` by value, so only before the repository is shared.
     pub fn with_shards(mut self, shards: usize) -> Self {
         let count = shards.max(1).next_power_of_two();
-        self.shard_bits = count.trailing_zeros();
-        self.shards = build_shards(
-            count,
-            self.shard_bits,
-            self.inner.get_mut(),
-            self.ids.get_mut(),
-        );
+        let bits = count.trailing_zeros();
+        let mut striped: Vec<Shard> = (0..count).map(|_| Shard::default()).collect();
+        let old = std::mem::take(&mut self.shards).into_vec();
+        for (stripe, shard) in old.into_iter().enumerate() {
+            for (i, slot) in shard.into_inner().slots.into_iter().enumerate() {
+                let index = (i << self.shard_bits) | stripe;
+                *striped[index & (count - 1)].slot_mut(index >> bits) = slot;
+            }
+        }
+        self.shard_bits = bits;
+        self.shards = striped.into_iter().map(RwLock::new).collect();
         self
     }
 
-    /// Number of decide-path lock stripes.
+    /// Number of lock stripes.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The stripe owning `id` and the id's slot index within it.
+    fn locate(&self, id: ModelId) -> (&RwLock<Shard>, usize) {
+        let index = id.index();
+        (
+            &self.shards[index & (self.shards.len() - 1)],
+            index >> self.shard_bits,
+        )
+    }
+
+    /// The one lookup implementation: `read` runs on `id`'s slot under
+    /// its shard's read lock (`None` when the id has no slot yet).
+    fn read_slot<R>(&self, id: ModelId, read: impl FnOnce(&Slot) -> Option<R>) -> Option<R> {
+        let (shard, slot) = self.locate(id);
+        read(shard.read().slots.get(slot)?)
+    }
+
+    /// Visit every slot, one shard read lock at a time. A caller that
+    /// needs the slots to be mutually consistent holds `install`.
+    fn for_each_slot(&self, mut visit: impl FnMut(ModelId, &Slot)) {
+        for (stripe, shard) in self.shards.iter().enumerate() {
+            for (i, slot) in shard.read().slots.iter().enumerate() {
+                visit(ModelId::from_index((i << self.shard_bits) | stripe), slot);
+            }
+        }
     }
 
     /// Number of registration batches installed so far. A model's graph,
@@ -650,106 +616,80 @@ impl ModelRepository {
             })
             .collect();
         loop {
-            // 1. Snapshot the existing catalog under a brief read lock.
-            let existing: Vec<ExistingModel> = {
-                let inner = self.inner.read();
-                inner
-                    .models
-                    .iter()
-                    .filter(|(name, _)| !by_name.contains_key(*name))
-                    .map(|(name, model)| ExistingModel {
-                        name: name.clone(),
-                        model: model.clone(),
-                        hash: inner.hashes.get(name).copied().unwrap_or(0),
-                        generation: inner.generations.get(name).copied().unwrap_or(0),
-                    })
-                    .collect()
+            // 1. Snapshot the published catalog between installs.
+            let (seen_epoch, existing) = {
+                let _installer = self.install.lock();
+                let mut existing: Vec<ExistingModel> = Vec::new();
+                self.for_each_slot(|_, slot| {
+                    if let Some(m) = &slot.model {
+                        if !by_name.contains_key(m.graph.name()) {
+                            existing.push(ExistingModel {
+                                model: m.graph.clone(),
+                                hash: m.hash,
+                            });
+                        }
+                    }
+                });
+                (self.catalog_epoch(), existing)
             };
             // 2. Fan the pairwise sweep out, lock-free.
             let tasks = self.build_tasks(&new, &existing, scope);
             let planned = self.execute_tasks(&tasks, cost, threads, artifact);
-            // 3. Install: catalog maps first (one short write lock,
-            //    re-checking the snapshot generations), then flush the
-            //    affected shards. The installer mutex spans both so a
-            //    later install can never be overtaken by our flush.
+            // 3. Install, serialized against every other install.
             let _installer = self.install.lock();
-            let mut inner = self.inner.write();
-            let snapshot_names: HashSet<&Arc<str>> = existing.iter().map(|e| &e.name).collect();
-            let stale = existing
-                .iter()
-                .any(|e| inner.generations.get(&e.name).copied().unwrap_or(0) != e.generation)
-                || inner
-                    .models
-                    .keys()
-                    .any(|name| !by_name.contains_key(name) && !snapshot_names.contains(name));
-            if stale {
+            if self.catalog_epoch() != seen_epoch {
                 // A concurrent registration changed the catalog while we
                 // planned; our batch may reference stale graphs or miss
                 // pairs. Discard and re-plan against a fresh snapshot.
-                drop(inner);
                 continue;
             }
-            for m in &new {
-                inner.models.insert(m.name.clone(), m.model.clone());
-                inner.load_costs.insert(m.name.clone(), m.load);
-                inner.hashes.insert(m.name.clone(), m.hash);
-                *inner.generations.entry(m.name.clone()).or_insert(0) += 1;
-            }
-            for (task, plan) in tasks.iter().zip(&planned) {
-                let src: Arc<str> = Arc::from(task.src.name());
-                let dst: Arc<str> = Arc::from(task.dst.name());
-                inner
-                    .plans
-                    .entry(src)
-                    .or_default()
-                    .insert(dst, plan.clone());
-            }
             // Intern new names in sorted order so id assignment is
-            // deterministic regardless of batch order, then buffer the
-            // flush per shard while the tables are consistent.
-            let mut ids = self.ids.write();
-            let mut sorted_new: Vec<&NewModel> = new.iter().collect();
-            sorted_new.sort_by(|a, b| a.name.cmp(&b.name));
-            for m in sorted_new {
-                ids.resolve(&m.name);
+            // deterministic regardless of batch order.
+            {
+                let mut ids = self.ids.write();
+                let mut sorted_new: Vec<&NewModel> = new.iter().collect();
+                sorted_new.sort_by(|a, b| a.name.cmp(&b.name));
+                for m in sorted_new {
+                    ids.resolve(&m.name);
+                }
             }
             let mask = self.shards.len() - 1;
-            let mut per_shard: Vec<Vec<FlushOp>> =
+            let mut plans_per_shard: Vec<Vec<(usize, ModelId, Arc<TransformPlan>)>> =
                 (0..self.shards.len()).map(|_| Vec::new()).collect();
-            for m in &new {
-                let id = ids.get(&m.name).expect("just interned");
-                per_shard[id.index() & mask].push(FlushOp::Model {
-                    slot: id.index() >> self.shard_bits,
-                    load: m.load,
-                    model: m.model.clone(),
-                });
-            }
-            for (task, plan) in tasks.iter().zip(&planned) {
-                let si = ids
-                    .get(task.src.name())
-                    .expect("task endpoints are interned");
-                let di = ids
-                    .get(task.dst.name())
-                    .expect("task endpoints are interned");
-                per_shard[di.index() & mask].push(FlushOp::Plan {
-                    slot: di.index() >> self.shard_bits,
-                    src: si,
-                    plan: plan.clone(),
-                });
-            }
-            drop(ids);
-            drop(inner);
-            // 4. Flush, one shard write lock at a time: a concurrent
-            //    decide contends with at most one stripe's batch, never
-            //    with the whole install.
-            for (shard, ops) in self.shards.iter().zip(per_shard) {
-                if ops.is_empty() {
+            let new_ids: Vec<ModelId> = {
+                let ids = self.ids.read();
+                let id_of = |name: &str| ids.get(name).expect("task endpoints are interned");
+                for (task, plan) in tasks.iter().zip(planned) {
+                    let dst = id_of(task.dst.name());
+                    plans_per_shard[dst.index() & mask].push((
+                        dst.index() >> self.shard_bits,
+                        id_of(task.src.name()),
+                        plan,
+                    ));
+                }
+                new.iter().map(|m| id_of(&m.name)).collect()
+            };
+            // Phase one: every plan of the batch, one shard write lock at
+            // a time — a concurrent decide contends with at most one
+            // stripe's flush, never with the whole install.
+            for (shard, plans) in self.shards.iter().zip(plans_per_shard) {
+                if plans.is_empty() {
                     continue;
                 }
                 let mut shard = shard.write();
-                for op in ops {
-                    shard.apply(op);
+                for (slot, src, plan) in plans {
+                    shard.slot_mut(slot).plans_in.insert(src, plan);
                 }
+            }
+            // Phase two: only now publish the models, so whoever can see
+            // one of them also sees its complete plan set.
+            for (m, id) in new.iter().zip(new_ids) {
+                let (shard, slot) = self.locate(id);
+                shard.write().slot_mut(slot).model = Some(Registered {
+                    graph: m.model.clone(),
+                    load: m.load,
+                    hash: m.hash,
+                });
             }
             // After the flush, so a reader that sees the new epoch also
             // sees every shard of this install.
@@ -872,24 +812,31 @@ impl ModelRepository {
 
     /// Number of registered models.
     pub fn model_count(&self) -> usize {
-        self.inner.read().models.len()
+        let mut count = 0;
+        self.for_each_slot(|_, slot| count += usize::from(slot.model.is_some()));
+        count
     }
 
     /// Look up a registered model.
     pub fn model(&self, name: &str) -> Option<Arc<ModelGraph>> {
-        self.inner.read().models.get(name).cloned()
+        self.model_by_id(self.model_id(name)?)
+    }
+
+    /// Id-keyed [`ModelRepository::model`].
+    pub fn model_by_id(&self, id: ModelId) -> Option<Arc<ModelGraph>> {
+        self.read_slot(id, |slot| Some(slot.model.as_ref()?.graph.clone()))
     }
 
     /// Profiled scratch-load cost of a registered model.
     pub fn load_cost(&self, name: &str) -> Option<f64> {
-        self.inner.read().load_costs.get(name).copied()
+        self.read_slot(self.model_id(name)?, |slot| Some(slot.model.as_ref()?.load))
     }
 
     /// Cached plan from `src` to `dst`, if both are registered and the pair
     /// is plannable.
     pub fn plan(&self, src: &str, dst: &str) -> Option<Arc<TransformPlan>> {
-        let inner = self.inner.read();
-        inner.plans.get(src)?.get(dst).cloned()
+        let (si, di) = self.resolve_pair(src, dst)?;
+        self.read_slot(di, |slot| slot.plans_in.get(&si).cloned())
     }
 
     /// Resolve a `(src, dst)` name pair to ids: `None` when the
@@ -955,23 +902,19 @@ impl ModelRepository {
         src: ModelId,
         dst: ModelId,
     ) -> Option<(TransformDecision, bool)> {
-        let shard = self.shards[dst.index() & (self.shards.len() - 1)].read();
-        let slot = dst.index() >> self.shard_bits;
-        let load = *shard.load_costs.get(slot)?;
-        if load.is_nan() {
-            return None;
-        }
-        let plan = shard.plans_in[slot].get(&src);
-        Some(match plan {
-            Some(p) if p.cost.total() <= load * self.safeguard_ratio => {
-                if self.overrun.is_demoted(src, dst) {
-                    (TransformDecision::LoadScratch { cost: load }, true)
-                } else {
-                    (TransformDecision::Transform(p.clone()), true)
+        self.read_slot(dst, |slot| {
+            let load = slot.model.as_ref()?.load;
+            Some(match slot.plans_in.get(&src) {
+                Some(p) if p.cost.total() <= load * self.safeguard_ratio => {
+                    if self.overrun.is_demoted(src, dst) {
+                        (TransformDecision::LoadScratch { cost: load }, true)
+                    } else {
+                        (TransformDecision::Transform(p.clone()), true)
+                    }
                 }
-            }
-            Some(_) => (TransformDecision::LoadScratch { cost: load }, true),
-            None => (TransformDecision::LoadScratch { cost: load }, false),
+                Some(_) => (TransformDecision::LoadScratch { cost: load }, true),
+                None => (TransformDecision::LoadScratch { cost: load }, false),
+            })
         })
     }
 
@@ -997,13 +940,10 @@ impl ModelRepository {
         dst: ModelId,
         chunk_bytes: u64,
     ) -> Option<crate::chunks::PlanChunks> {
-        let (plan, model) = {
-            let shard = self.shards[dst.index() & (self.shards.len() - 1)].read();
-            let slot = dst.index() >> self.shard_bits;
-            let plan = shard.plans_in.get(slot)?.get(&src)?.clone();
-            let model = shard.models.get(slot)?.clone()?;
-            (plan, model)
-        };
+        let (plan, model) = self.read_slot(dst, |slot| {
+            let plan = slot.plans_in.get(&src)?.clone();
+            Some((plan, slot.model.as_ref()?.graph.clone()))
+        })?;
         Some(crate::chunks::plan_chunks(&plan, &model, chunk_bytes))
     }
 
@@ -1012,14 +952,11 @@ impl ModelRepository {
     /// pressure never evicts bytes a cached transformation is about to
     /// write.
     pub fn plan_referenced_chunks(&self, chunk_bytes: u64) -> Vec<optimus_store::ChunkRef> {
-        let plans: Vec<Arc<TransformPlan>> = {
-            let inner = self.inner.read();
-            inner
-                .plans
-                .values()
-                .flat_map(|per_src| per_src.values().cloned())
-                .collect()
-        };
+        let mut plans: Vec<Arc<TransformPlan>> = Vec::new();
+        {
+            let _installer = self.install.lock();
+            self.for_each_slot(|_, slot| plans.extend(slot.plans_in.values().cloned()));
+        }
         crate::chunks::plans_referenced_chunks(plans.iter().map(|p| p.as_ref()), chunk_bytes)
     }
 
@@ -1030,23 +967,32 @@ impl ModelRepository {
     /// of the result is what
     /// [`ModelRepository::register_all_with_artifact`] loads back.
     pub fn export_plan_artifact(&self) -> PlanArtifact {
-        let inner = self.inner.read();
-        let mut entries: Vec<PlanArtifactEntry> = Vec::new();
-        for (src, per_src) in &inner.plans {
-            let Some(&src_hash) = inner.hashes.get(src) else {
-                continue;
-            };
-            for (dst, plan) in per_src {
-                let Some(&dst_hash) = inner.hashes.get(dst) else {
-                    continue;
+        // One walk: a plan's source may live in a shard not visited yet,
+        // so its hash is looked up once every slot has been seen.
+        let mut hashes: HashMap<ModelId, u64> = HashMap::new();
+        let mut found: Vec<(ModelId, u64, Arc<TransformPlan>)> = Vec::new();
+        {
+            let _installer = self.install.lock();
+            self.for_each_slot(|id, slot| {
+                let Some(m) = &slot.model else {
+                    return;
                 };
-                entries.push(PlanArtifactEntry {
-                    src_hash,
-                    dst_hash,
-                    plan: plan.clone(),
-                });
-            }
+                hashes.insert(id, m.hash);
+                for (src, plan) in &slot.plans_in {
+                    found.push((*src, m.hash, plan.clone()));
+                }
+            });
         }
+        let mut entries: Vec<PlanArtifactEntry> = found
+            .into_iter()
+            .filter_map(|(src, dst_hash, plan)| {
+                Some(PlanArtifactEntry {
+                    src_hash: *hashes.get(&src)?,
+                    dst_hash,
+                    plan,
+                })
+            })
+            .collect();
         entries.sort_by(|a, b| {
             (a.src_hash, a.dst_hash, &a.plan.src_model, &a.plan.dst_model).cmp(&(
                 b.src_hash,
@@ -1065,96 +1011,20 @@ impl ModelRepository {
     /// Content hashes of every registered model — the liveness set for
     /// [`PlanArtifactView::rewrite`]: an artifact entry whose endpoints
     /// are both in this set belongs to the current catalog.
-    pub fn catalog_hashes(&self) -> std::collections::HashSet<u64> {
-        self.inner.read().hashes.values().copied().collect()
+    pub fn catalog_hashes(&self) -> HashSet<u64> {
+        let mut hashes = HashSet::new();
+        self.for_each_slot(|_, slot| hashes.extend(slot.model.as_ref().map(|m| m.hash)));
+        hashes
     }
 
     /// Names of all registered models, sorted.
     pub fn model_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .inner
-            .read()
-            .models
-            .keys()
-            .map(|k| k.to_string())
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// Internal: snapshot the state for persistence (see `persist`).
-    pub(crate) fn snapshot_parts(&self) -> crate::persist::RepositorySnapshot {
-        let inner = self.inner.read();
-        let mut models: Vec<ModelGraph> = inner.models.values().map(|m| (**m).clone()).collect();
-        models.sort_by(|a, b| a.name().cmp(b.name()));
-        let mut plans: Vec<((String, String), crate::metaop::TransformPlan)> = inner
-            .plans
-            .iter()
-            .flat_map(|(src, per_src)| {
-                per_src
-                    .iter()
-                    .map(|(dst, plan)| ((src.to_string(), dst.to_string()), (**plan).clone()))
-            })
-            .collect();
-        plans.sort_by(|a, b| a.0.cmp(&b.0));
-        crate::persist::RepositorySnapshot {
-            version: crate::persist::SNAPSHOT_VERSION,
-            models,
-            load_costs: inner
-                .load_costs
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            plans,
-        }
-    }
-
-    /// Internal: rebuild from persisted state (see `persist`).
-    pub(crate) fn from_parts(
-        planner: Box<dyn Planner + Send + Sync>,
-        models: HashMap<String, Arc<ModelGraph>>,
-        load_costs: HashMap<String, f64>,
-        plans: HashMap<(String, String), Arc<TransformPlan>>,
-    ) -> ModelRepository {
-        let mut inner = Inner::default();
-        for (name, model) in models {
-            let name: Arc<str> = Arc::from(name.as_str());
-            inner.generations.insert(name.clone(), 1);
-            inner.hashes.insert(name.clone(), model.content_hash());
-            inner.models.insert(name, model);
-        }
-        for (name, cost) in load_costs {
-            inner.load_costs.insert(Arc::from(name.as_str()), cost);
-        }
-        for ((src, dst), plan) in plans {
-            inner
-                .plans
-                .entry(Arc::from(src.as_str()))
-                .or_default()
-                .insert(Arc::from(dst.as_str()), plan);
-        }
-        let mut ids = Interner::new();
-        let mut names: Vec<&Arc<str>> = inner.models.keys().collect();
+        let mut names = Vec::new();
+        self.for_each_slot(|_, slot| {
+            names.extend(slot.model.as_ref().map(|m| m.graph.name().to_string()));
+        });
         names.sort();
-        for name in names {
-            ids.resolve(name);
-        }
-        let count = default_shard_count();
-        let shard_bits = count.trailing_zeros();
-        let shards = build_shards(count, shard_bits, &inner, &ids);
-        ModelRepository {
-            planner,
-            inner: RwLock::new(inner),
-            ids: RwLock::new(ids),
-            shards,
-            shard_bits,
-            install: Mutex::new(()),
-            planner_calls: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            safeguard_ratio: 1.0,
-            overrun: OverrunGuard::new(3.0, 2),
-            telemetry: RwLock::new(RepoTelemetry::resolve(&optimus_telemetry::global())),
-        }
+        names
     }
 }
 
@@ -1311,9 +1181,20 @@ mod tests {
         let bulk = ModelRepository::new(Box::new(GroupPlanner));
         bulk.register_all_with_threads(models(), &cost, 4);
         assert_eq!(bulk.model_names(), sequential.model_names());
-        let a = sequential.snapshot().canonicalized().to_json();
-        let b = bulk.snapshot().canonicalized().to_json();
-        assert_eq!(a, b, "bulk and sequential registration must agree");
+        for name in bulk.model_names() {
+            assert_eq!(bulk.load_cost(&name), sequential.load_cost(&name));
+        }
+        assert_eq!(
+            bulk.export_plan_artifact().to_bytes(),
+            sequential.export_plan_artifact().to_bytes(),
+            "bulk and sequential registration must agree"
+        );
+        // Each model and each plan has one resident owner: the store's
+        // reference plus the handle just looked up.
+        for repo in [&bulk, &sequential] {
+            assert_eq!(Arc::strong_count(&repo.model("vgg11").unwrap()), 2);
+            assert_eq!(Arc::strong_count(&repo.plan("vgg11", "vgg16").unwrap()), 2);
+        }
     }
 
     #[test]

@@ -62,7 +62,6 @@ mod kv;
 mod matrix;
 mod metaop;
 mod munkres;
-mod persist;
 mod planner;
 pub mod scheduler;
 mod wire;
@@ -77,6 +76,5 @@ pub use executor::{execute_plan, ExecutionReport};
 pub use kv::{plan_kv_transform, KvMetaOp, KvPlan};
 pub use matrix::CostMatrix;
 pub use metaop::{MetaOp, PlanCost, TransformPlan};
-pub use munkres::{solve_assignment, solve_assignment_flat, MunkresScratch};
-pub use persist::{RepositorySnapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use munkres::{solve_assignment_flat, MunkresScratch};
 pub use planner::{BruteForcePlanner, GroupPlanner, MunkresPlanner, NaivePlanner, Planner};

@@ -103,12 +103,6 @@ impl CostMatrix {
     pub fn m(&self) -> usize {
         self.dst_ids.len()
     }
-
-    /// Copy out the nested `Vec<Vec<f64>>` representation (test oracle
-    /// bridge to [`crate::solve_assignment`]).
-    pub fn to_nested(&self) -> Vec<Vec<f64>> {
-        self.costs.chunks(self.dim).map(<[f64]>::to_vec).collect()
-    }
 }
 
 #[cfg(test)]
@@ -138,9 +132,6 @@ mod tests {
         assert_eq!(m.m(), 5);
         assert_eq!(m.dim(), 8);
         assert_eq!(m.costs.len(), 64, "flat buffer holds dim² entries");
-        let nested = m.to_nested();
-        assert_eq!(nested.len(), 8);
-        assert!(nested.iter().all(|r| r.len() == 8));
     }
 
     #[test]
@@ -167,19 +158,6 @@ mod tests {
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(cm.at(n + i, m + j), 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn flat_and_nested_views_agree() {
-        let a = tiny("a", 2);
-        let b = tiny("b", 3);
-        let cm = CostMatrix::build(&a, &b, &CostModel::default());
-        let nested = cm.to_nested();
-        for (i, row) in nested.iter().enumerate() {
-            for (j, &cell) in row.iter().enumerate() {
-                assert_eq!(cm.at(i, j), cell);
             }
         }
     }

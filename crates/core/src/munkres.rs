@@ -5,15 +5,12 @@
 //! Riesen–Bunke `(n+m)×(n+m)` edit-cost matrix, exactly as the paper's
 //! reference [31] prescribes.
 //!
-//! Two entry points share the algorithm:
-//!
-//! - [`solve_assignment_flat`] — the production kernel: indexes a flat
-//!   row-major `&[f64]` buffer directly and keeps every working array in a
-//!   caller-owned [`MunkresScratch`], so repeated solves (the offline plan
-//!   cache's O(N²) sweep) allocate nothing after the first call.
-//! - [`solve_assignment`] — the original `Vec<Vec<f64>>` implementation,
-//!   kept verbatim as the reference oracle the flat kernel is tested
-//!   against.
+//! [`solve_assignment_flat`] indexes a flat row-major `&[f64]` buffer
+//! directly and keeps every working array in a caller-owned
+//! [`MunkresScratch`], so repeated solves (the offline plan cache's O(N²)
+//! sweep) allocate nothing after the first call. The original
+//! `Vec<Vec<f64>>` implementation it replaced lives on as the test oracle
+//! in `tests/oracle/`.
 
 /// Reusable working memory for [`solve_assignment_flat`].
 ///
@@ -110,17 +107,15 @@ pub fn solve_assignment_flat<'a>(
         return &scratch.assignment;
     }
     // Borrow the working arrays as local slices once: keeps the hot loops
-    // free of repeated field loads (base pointers stay in registers, like
-    // the nested version's stack-local Vecs).
+    // free of repeated field loads (base pointers stay in registers).
     let u = &mut scratch.u[..=n];
     let v = &mut scratch.v[..=n];
     let p = &mut scratch.p[..=n];
     let way = &mut scratch.way[..=n];
     let minv = &mut scratch.minv[..=n];
     let used = &mut scratch.used[..=n];
-    // Potentials-based Hungarian algorithm, 1-indexed internally; identical
-    // control flow to `solve_assignment`, with flat indexing and no
-    // per-row allocations.
+    // Potentials-based Hungarian algorithm, 1-indexed internally, with
+    // flat indexing and no per-row allocations.
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
@@ -178,87 +173,6 @@ pub fn solve_assignment_flat<'a>(
     &scratch.assignment
 }
 
-/// Solve the square assignment problem: `cost[i][j]` is the cost of
-/// assigning row `i` to column `j`; returns `assignment[i] = j` minimising
-/// the total cost.
-///
-/// This is the original nested-`Vec` implementation, retained as the
-/// reference oracle for [`solve_assignment_flat`] (which the planners use).
-///
-/// # Panics
-///
-/// Panics when the matrix is not square or is empty rows-wise with
-/// inconsistent columns.
-pub fn solve_assignment(cost: &[Vec<f64>]) -> Vec<usize> {
-    let n = cost.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    for row in cost {
-        assert_eq!(row.len(), n, "assignment matrix must be square");
-    }
-    // Potentials-based Hungarian algorithm, 1-indexed internally.
-    // u[i], v[j] potentials; p[j] = row matched to column j.
-    let mut u = vec![0.0f64; n + 1];
-    let mut v = vec![0.0f64; n + 1];
-    let mut p = vec![0usize; n + 1]; // p[j]: row assigned to column j (0 = none)
-    let mut way = vec![0usize; n + 1];
-    for i in 1..=n {
-        p[0] = i;
-        let mut j0 = 0usize;
-        let mut minv = vec![f64::INFINITY; n + 1];
-        let mut used = vec![false; n + 1];
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let mut delta = f64::INFINITY;
-            let mut j1 = 0usize;
-            for j in 1..=n {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
-                }
-            }
-            for j in 0..=n {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
-            }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
-            }
-        }
-        // Augment along the alternating path.
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
-            }
-        }
-    }
-    let mut assignment = vec![usize::MAX; n];
-    for j in 1..=n {
-        if p[j] != 0 {
-            assignment[p[j] - 1] = j - 1;
-        }
-    }
-    assignment
-}
-
 /// Total cost of an assignment under a cost matrix.
 #[cfg(test)]
 pub(crate) fn assignment_cost(cost: &[Vec<f64>], assignment: &[usize]) -> f64 {
@@ -310,18 +224,15 @@ mod tests {
     #[test]
     fn trivial_identity() {
         let cost = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
-        let a = solve_assignment(&cost);
+        let a = solve_flat(&cost);
         assert_eq!(a, vec![0, 1]);
         assert_eq!(assignment_cost(&cost, &a), 2.0);
-        assert_eq!(solve_flat(&cost), a);
     }
 
     #[test]
     fn off_diagonal_optimum() {
         let cost = vec![vec![10.0, 1.0], vec![1.0, 10.0]];
-        let a = solve_assignment(&cost);
-        assert_eq!(a, vec![1, 0]);
-        assert_eq!(solve_flat(&cost), a);
+        assert_eq!(solve_flat(&cost), vec![1, 0]);
     }
 
     #[test]
@@ -340,7 +251,7 @@ mod tests {
                 let cost: Vec<Vec<f64>> = (0..n)
                     .map(|_| (0..n).map(|_| next() * 10.0).collect())
                     .collect();
-                let a = solve_assignment(&cost);
+                let a = solve_assignment_flat(&flatten(&cost), n, &mut scratch).to_vec();
                 // Assignment is a permutation.
                 let mut seen = vec![false; n];
                 for &j in &a {
@@ -353,9 +264,6 @@ mod tests {
                     (got - want).abs() < 1e-9,
                     "n={n}: got {got}, optimal {want}"
                 );
-                // The flat kernel must agree exactly (same control flow).
-                let flat = solve_assignment_flat(&flatten(&cost), n, &mut scratch);
-                assert_eq!(flat, &a[..], "flat/nested divergence at n={n}");
             }
         }
     }
@@ -368,21 +276,17 @@ mod tests {
             vec![2.0, BIG, BIG],
             vec![BIG, BIG, 3.0],
         ];
-        let a = solve_assignment(&cost);
-        assert_eq!(a, vec![1, 0, 2]);
-        assert_eq!(solve_flat(&cost), a);
+        assert_eq!(solve_flat(&cost), vec![1, 0, 2]);
     }
 
     #[test]
     fn empty_matrix() {
-        assert!(solve_assignment(&[]).is_empty());
         let mut scratch = MunkresScratch::new();
         assert!(solve_assignment_flat(&[], 0, &mut scratch).is_empty());
     }
 
     #[test]
     fn single_element() {
-        assert_eq!(solve_assignment(&[vec![5.0]]), vec![0]);
         assert_eq!(solve_flat(&[vec![5.0]]), vec![0]);
     }
 

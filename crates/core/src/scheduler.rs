@@ -51,7 +51,7 @@ impl IdleTimer {
     }
 }
 
-/// A transformation source chosen by [`choose_source`].
+/// A transformation source chosen by [`choose_source_by_id`].
 #[derive(Debug, Clone)]
 pub struct SourceChoice<C> {
     /// The chosen donor container handle.
@@ -63,46 +63,14 @@ pub struct SourceChoice<C> {
 }
 
 /// Pick the cheapest idle donor for serving `dst_model`, consulting the
-/// repository's cached plans and safeguard.
+/// repository's cached plans and safeguard: the per-event donor scan.
 ///
-/// `idle` yields `(handle, model_name)` pairs for the node's idle
-/// containers. Returns `None` when no donor beats a scratch load — the
-/// caller should cold-start (or Pagurus-style repurpose) instead.
-pub fn choose_source<C>(
-    repo: &ModelRepository,
-    idle: impl IntoIterator<Item = (C, String)>,
-    dst_model: &str,
-) -> Option<SourceChoice<C>> {
-    let mut best: Option<SourceChoice<C>> = None;
-    for (handle, src_model) in idle {
-        if src_model == dst_model {
-            // A warm container already holding the model should have been
-            // used as a plain warm start before transformation is ever
-            // considered; skip it here.
-            continue;
-        }
-        match repo.decide(&src_model, dst_model) {
-            Some(TransformDecision::Transform(plan)) => {
-                let latency = plan.cost.total();
-                if best.as_ref().is_none_or(|b| latency < b.latency) {
-                    best = Some(SourceChoice {
-                        container: handle,
-                        plan,
-                        latency,
-                    });
-                }
-            }
-            _ => continue,
-        }
-    }
-    best
-}
-
-/// Id-keyed [`choose_source`]: the simulator's per-event donor scan.
-///
-/// `idle` yields `(handle, interned model id)` pairs — `Copy` data, so the
-/// scan neither clones names nor hashes strings; each candidate costs two
-/// dense-array probes inside [`ModelRepository::decide_by_id`].
+/// `idle` yields `(handle, interned model id)` pairs for the node's idle
+/// containers — `Copy` data, so the scan neither clones names nor hashes
+/// strings; each candidate costs one slot read inside
+/// [`ModelRepository::decide_by_id`]. Returns `None` when no donor beats a
+/// scratch load — the caller should cold-start (or Pagurus-style
+/// repurpose) instead.
 pub fn choose_source_by_id<C>(
     repo: &ModelRepository,
     idle: impl IntoIterator<Item = (C, ModelId)>,
@@ -111,7 +79,9 @@ pub fn choose_source_by_id<C>(
     let mut best: Option<SourceChoice<C>> = None;
     for (handle, src_model) in idle {
         if src_model == dst_model {
-            // Same-model donors are warm starts, never transformations.
+            // A warm container already holding the model should have been
+            // used as a plain warm start before transformation is ever
+            // considered; skip it here.
             continue;
         }
         if let Some(TransformDecision::Transform(plan)) = repo.decide_by_id(src_model, dst_model) {
@@ -146,19 +116,29 @@ mod tests {
         assert_eq!(t.threshold(), 60.0);
     }
 
-    #[test]
-    fn choose_source_picks_cheapest_donor() {
+    fn repo_with(models: Vec<optimus_model::ModelGraph>) -> ModelRepository {
         let repo = ModelRepository::new(Box::new(GroupPlanner));
         let cost = CostModel::default();
-        repo.register(optimus_zoo::vgg::vgg16(), &cost);
-        repo.register(optimus_zoo::vgg::vgg19(), &cost);
-        repo.register(optimus_zoo::resnet::resnet50(), &cost);
+        for m in models {
+            repo.register(m, &cost);
+        }
+        repo
+    }
+
+    #[test]
+    fn choose_source_picks_cheapest_donor() {
+        let repo = repo_with(vec![
+            optimus_zoo::vgg::vgg16(),
+            optimus_zoo::vgg::vgg19(),
+            optimus_zoo::resnet::resnet50(),
+        ]);
+        let id = |n: &str| repo.model_id(n).expect("registered");
         // Donors: vgg16 (same family, cheap) and resnet50 (cross family,
         // more expensive).
-        let choice = choose_source(
+        let choice = choose_source_by_id(
             &repo,
-            vec![(1u32, "resnet50".to_string()), (2u32, "vgg16".to_string())],
-            "vgg19",
+            vec![(1u32, id("resnet50")), (2u32, id("vgg16"))],
+            id("vgg19"),
         )
         .expect("a donor must beat scratch load");
         assert_eq!(choice.container, 2, "vgg16 should be the cheaper donor");
@@ -168,57 +148,25 @@ mod tests {
 
     #[test]
     fn choose_source_skips_same_model_and_empty() {
-        let repo = ModelRepository::new(Box::new(GroupPlanner));
-        let cost = CostModel::default();
-        repo.register(optimus_zoo::vgg::vgg16(), &cost);
-        assert!(choose_source(&repo, Vec::<(u32, String)>::new(), "vgg16").is_none());
+        let repo = repo_with(vec![optimus_zoo::vgg::vgg16()]);
+        let vgg16 = repo.model_id("vgg16").expect("registered");
+        assert!(choose_source_by_id(&repo, Vec::<(u32, ModelId)>::new(), vgg16).is_none());
         assert!(
-            choose_source(&repo, vec![(1u32, "vgg16".to_string())], "vgg16").is_none(),
+            choose_source_by_id(&repo, vec![(1u32, vgg16)], vgg16).is_none(),
             "same-model donors are warm starts, not transformations"
         );
     }
 
     #[test]
-    fn choose_source_by_id_matches_string_path() {
-        let repo = ModelRepository::new(Box::new(GroupPlanner));
-        let cost = CostModel::default();
-        repo.register(optimus_zoo::vgg::vgg16(), &cost);
-        repo.register(optimus_zoo::vgg::vgg19(), &cost);
-        repo.register(optimus_zoo::resnet::resnet50(), &cost);
-        let id = |n: &str| repo.model_id(n).expect("registered");
-        let by_id = choose_source_by_id(
-            &repo,
-            vec![(1u32, id("resnet50")), (2u32, id("vgg16"))],
-            id("vgg19"),
-        )
-        .expect("a donor must beat scratch load");
-        let by_name = choose_source(
-            &repo,
-            vec![(1u32, "resnet50".to_string()), (2u32, "vgg16".to_string())],
-            "vgg19",
-        )
-        .expect("a donor must beat scratch load");
-        assert_eq!(by_id.container, by_name.container);
-        assert_eq!(by_id.latency, by_name.latency);
-        // Same-model donors and empty donor sets yield no choice.
-        assert!(choose_source_by_id(&repo, Vec::<(u32, ModelId)>::new(), id("vgg16")).is_none());
-        assert!(choose_source_by_id(&repo, vec![(1u32, id("vgg16"))], id("vgg16")).is_none());
-    }
-
-    #[test]
     fn choose_source_rejects_transformer_donors_for_cnn() {
-        let repo = ModelRepository::new(Box::new(GroupPlanner));
-        let cost = CostModel::default();
-        repo.register(optimus_zoo::vgg::vgg16(), &cost);
-        repo.register(
+        let repo = repo_with(vec![
+            optimus_zoo::vgg::vgg16(),
             optimus_zoo::bert::bert(optimus_zoo::BertConfig::new(optimus_zoo::BertSize::Tiny)),
-            &cost,
+        ]);
+        let id = |n: &str| repo.model_id(n).expect("registered");
+        assert!(
+            choose_source_by_id(&repo, vec![(1u32, id("bert-tiny-uncased"))], id("vgg16"))
+                .is_none()
         );
-        assert!(choose_source(
-            &repo,
-            vec![(1u32, "bert-tiny-uncased".to_string())],
-            "vgg16"
-        )
-        .is_none());
     }
 }

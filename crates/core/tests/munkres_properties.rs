@@ -1,15 +1,17 @@
 //! Property tests of the flat-buffer Hungarian kernel: on random square
 //! matrices (≤7×7, brute-force-checkable) the flat solver must agree with
-//! the retained nested-`Vec` reference implementation and with exhaustive
+//! the nested-`Vec` reference implementation ([`oracle`]) and with exhaustive
 //! permutation search; at the planner level, [`MunkresPlanner`] must match
 //! the [`BruteForcePlanner`] oracle on tiny model pairs.
 
+mod oracle;
+
 use optimus_core::{
-    solve_assignment, solve_assignment_flat, BruteForcePlanner, CostMatrix, MunkresPlanner,
-    MunkresScratch, Planner,
+    solve_assignment_flat, BruteForcePlanner, CostMatrix, MunkresPlanner, MunkresScratch, Planner,
 };
 use optimus_model::{Activation, GraphBuilder, ModelGraph};
 use optimus_profile::{CostModel, CostProvider};
+use oracle::solve_assignment;
 use proptest::prelude::*;
 
 fn total_cost(cost: &[Vec<f64>], assignment: &[usize]) -> f64 {
@@ -151,7 +153,7 @@ proptest! {
         // Kernel-level optimality on the real edit matrix.
         let matrix = CostMatrix::build(&src, &dst, &cost);
         let k = matrix.dim();
-        let nested = matrix.to_nested();
+        let nested = oracle::nested(&matrix);
         let mut scratch = MunkresScratch::new();
         let assignment = solve_assignment_flat(&matrix.costs, k, &mut scratch).to_vec();
         let kernel_cost = total_cost(&nested, &assignment);

@@ -63,7 +63,8 @@ impl FlatOracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any catalog, any shard count: every directed pair's decision —
+    /// Any catalog, any shard count, re-striped to any other shard count
+    /// with one name then re-registered: every directed pair's decision —
     /// branch *and* exact latency bits — matches the flat single-map
     /// oracle.
     #[test]
@@ -71,6 +72,7 @@ proptest! {
         indices in prop::collection::vec(prop::sample::select(
             vec![0u64, 3, 77, 341, 1_029, 5_000, 9_431, 15_624]), 2..6),
         shards in prop::sample::select(vec![1usize, 2, 4, 8, 32]),
+        restriped in prop::sample::select(vec![1usize, 2, 4, 8, 32]),
     ) {
         // Dedup while keeping first-seen order, like the repository does.
         let mut seen = std::collections::HashSet::new();
@@ -84,6 +86,10 @@ proptest! {
 
         let repo = ModelRepository::new(Box::new(GroupPlanner)).with_shards(shards);
         repo.register_all(models.clone(), &cost);
+        // Same graph under the same name, so the oracle stands.
+        let repo = repo.with_shards(restriped);
+        repo.register(models[0].clone(), &cost);
+        prop_assert_eq!(repo.model_count(), models.len());
 
         for src in &models {
             for dst in &models {
@@ -97,14 +103,14 @@ proptest! {
                 prop_assert_eq!(
                     d.is_transform(),
                     want_transform,
-                    "branch diverged for {} -> {} at {} shards",
-                    src.name(), dst.name(), shards
+                    "branch diverged for {} -> {} at {} -> {} shards",
+                    src.name(), dst.name(), shards, restriped
                 );
                 prop_assert_eq!(
                     d.latency().to_bits(),
                     want_latency.to_bits(),
-                    "latency bits diverged for {} -> {} at {} shards",
-                    src.name(), dst.name(), shards
+                    "latency bits diverged for {} -> {} at {} -> {} shards",
+                    src.name(), dst.name(), shards, restriped
                 );
             }
         }

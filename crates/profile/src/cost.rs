@@ -10,7 +10,7 @@ use crate::env::Environment;
 /// Persisted plan artifacts embed this number: a plan computed against one
 /// calibration must not be replayed against another, so loaders reject
 /// artifacts whose cost-model version differs (the same contract as
-/// `SNAPSHOT_VERSION` for repository snapshots). Bump whenever
+/// the artifact's own format version). Bump whenever
 /// [`CostParams`] defaults or the cost formulas change.
 pub const COST_MODEL_VERSION: u32 = 1;
 

@@ -3,22 +3,17 @@
 //! API format … a Flask HTTP server that accepts client requests").
 //!
 //! Dependency-free: a hand-rolled HTTP server over
-//! `std::net::TcpListener` with two front-end modes
-//! ([`HttpConfig::mode`]):
-//!
-//! - [`FrontendMode::Pooled`] (default) — the production serving core.
-//!   A few accept shards hand persistent keep-alive connections to a
-//!   poller thread; connections with readable bytes (or a finished
-//!   inference) are dispatched to a fixed pool of HTTP workers that
-//!   parse pipelined requests incrementally from a reusable
-//!   per-connection buffer ([`crate::parser`]). Workers *never block on
-//!   inference*: `POST /infer` goes through [`Gateway::submit`] and the
-//!   connection is parked on the pending reply, so `GET /healthz` and
-//!   `GET /metrics` stay responsive even when every worker queue is
-//!   saturated (admission control answers `429` immediately, and an
-//!   ops lane serves health endpoints past the connection budget).
-//! - [`FrontendMode::ThreadPerConn`] — the original one-OS-thread per
-//!   `Connection: close` exchange, kept as the load-generator baseline.
+//! `std::net::TcpListener`. A few accept shards hand persistent
+//! keep-alive connections to a poller thread; connections with readable
+//! bytes (or a finished inference) are dispatched to a fixed pool of HTTP
+//! workers that parse pipelined requests incrementally from a reusable
+//! per-connection buffer ([`crate::parser`]). Workers *never block on
+//! inference*: `POST /infer` goes through [`Gateway::submit`] and the
+//! connection is parked on the pending reply, so `GET /healthz` and
+//! `GET /metrics` stay responsive even when every worker queue is
+//! saturated (admission control answers `429` immediately, and an ops
+//! lane serves health endpoints past the connection budget — through
+//! the same parser and the same [`HttpConfig`] limits).
 //!
 //! Endpoints:
 //!
@@ -50,7 +45,7 @@
 //! connection past [`HttpConfig::keep_alive_idle`] is closed silently.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,34 +59,21 @@ use crate::api::{InferenceResponse, ServeError};
 use crate::gateway::{Gateway, InferenceResult, PendingInference};
 use crate::parser::{parse_request, ParseOutcome, ParserLimits};
 
-/// How the front end maps connections to OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontendMode {
-    /// Sharded accept loops + poller + fixed worker pool over
-    /// keep-alive connections (the production path).
-    Pooled,
-    /// One OS thread per `Connection: close` exchange (the original
-    /// front end, kept as the load-generator baseline).
-    ThreadPerConn,
-}
-
 /// Configuration of the HTTP front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HttpConfig {
-    /// Read timeout per connection. In pooled mode this is the stall
-    /// deadline: a connection mid-request with no new bytes for this
-    /// long gets a `408`. `None` waits forever.
+    /// Read timeout per connection: the stall deadline. A connection
+    /// mid-request with no new bytes for this long gets a `408`. `None`
+    /// waits forever.
     pub read_timeout: Option<Duration>,
     /// Write timeout per connection (response flush).
     pub write_timeout: Option<Duration>,
-    /// Front-end threading model.
-    pub mode: FrontendMode,
-    /// Accept-loop shards feeding the pooled front end.
+    /// Accept-loop shards feeding the worker pool.
     pub accept_shards: usize,
     /// Fixed HTTP worker pool size (parsing + response writing; never
     /// blocks on inference).
     pub http_workers: usize,
-    /// Connection budget of the pooled front end; connections beyond it
+    /// Connection budget of the worker pool; connections beyond it
     /// are handed to the ops lane (health endpoints still answer,
     /// `/infer` gets an immediate `503`).
     pub max_connections: usize,
@@ -110,7 +92,6 @@ impl Default for HttpConfig {
         HttpConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
-            mode: FrontendMode::Pooled,
             accept_shards: 2,
             http_workers: 8,
             max_connections: 1024,
@@ -130,7 +111,7 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Serve `gateway` on `127.0.0.1:port` (`port` 0 picks a free port)
-    /// with the default configuration (pooled keep-alive front end).
+    /// with the default configuration.
     ///
     /// # Errors
     ///
@@ -153,19 +134,8 @@ impl HttpServer {
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         listener.set_nonblocking(true).map_err(|e| e.to_string())?;
         let stop = Arc::new(AtomicBool::new(false));
-        let handles = match config.mode {
-            FrontendMode::ThreadPerConn => {
-                vec![spawn_legacy_acceptor(
-                    listener,
-                    gateway,
-                    config,
-                    stop.clone(),
-                )]
-            }
-            FrontendMode::Pooled => {
-                spawn_pooled(listener, gateway, config, stop.clone()).map_err(|e| e.to_string())?
-            }
-        };
+        let handles =
+            spawn_pooled(listener, gateway, config, stop.clone()).map_err(|e| e.to_string())?;
         Ok(HttpServer {
             addr,
             stop,
@@ -233,7 +203,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Pooled front end: accept shards → poller → ready queue → worker pool.
+// Front end: accept shards → poller → ready queue → worker pool.
 // ---------------------------------------------------------------------
 
 /// Pipelined requests a worker serves from one connection before
@@ -313,7 +283,7 @@ impl ReadyQueue {
     }
 }
 
-/// State shared by every pooled front-end thread.
+/// State shared by every front-end thread.
 #[derive(Clone)]
 struct Shared {
     gateway: Arc<Gateway>,
@@ -324,6 +294,16 @@ struct Shared {
     ready: Arc<ReadyQueue>,
     /// Live pooled connections (admission against `max_connections`).
     conns: Arc<AtomicUsize>,
+}
+
+impl Shared {
+    /// The configured byte budgets, as the parser takes them.
+    fn limits(&self) -> ParserLimits {
+        ParserLimits {
+            max_header_bytes: self.config.max_header_bytes,
+            max_body_bytes: self.config.max_body_bytes,
+        }
+    }
 }
 
 fn close_conn(conn: Conn, conns: &AtomicUsize) {
@@ -558,10 +538,7 @@ fn serve_conn(conn: &mut Conn, shared: &Shared) -> Disposition {
             return Disposition::Close;
         }
     }
-    let limits = ParserLimits {
-        max_header_bytes: shared.config.max_header_bytes,
-        max_body_bytes: shared.config.max_body_bytes,
-    };
+    let limits = shared.limits();
     let mut budget = REQUEST_BUDGET;
     loop {
         match parse_request(&conn.buf, &limits) {
@@ -644,33 +621,43 @@ fn run_ops_lane(shared: &Shared, ops_rx: &Receiver<TcpStream>) {
     }
 }
 
+/// One exchange on a socket that stayed blocking: the read timeout set
+/// at accept surfaces from `read_some` as `WouldBlock`.
 fn serve_ops_connection(stream: TcpStream, shared: &Shared) {
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let response = match read_one_request(stream) {
-        Err(resp) => resp,
-        Ok((method, path, _body)) => {
-            if method == "POST" && path == "/infer" {
-                Response::error(
-                    "503 Service Unavailable",
-                    "connection budget exhausted; inference admission is closed",
-                )
-            } else {
-                route_get(&shared.gateway, &method, &path)
+    let mut conn = Conn::new(stream);
+    let limits = shared.limits();
+    let response = loop {
+        match parse_request(&conn.buf, &limits) {
+            ParseOutcome::Request { request, .. } => {
+                break if request.method == "POST" && request.path == "/infer" {
+                    Response::error(
+                        "503 Service Unavailable",
+                        "connection budget exhausted; inference admission is closed",
+                    )
+                } else {
+                    route_get(&shared.gateway, &request.method, &request.path)
+                };
             }
+            ParseOutcome::Error { status, message } => break Response::error(status, message),
+            ParseOutcome::Incomplete => match read_some(&mut conn) {
+                ReadState::Progress => {}
+                ReadState::WouldBlock => {
+                    break Response::error("408 Request Timeout", "timed out mid-request")
+                }
+                ReadState::Closed => {
+                    break Response::error(
+                        "400 Bad Request",
+                        "connection closed before the request completed",
+                    )
+                }
+            },
         }
     };
-    shared
-        .gateway
-        .metrics()
-        .counter("optimus_http_requests_total", &[("code", response.code())])
-        .inc();
-    let _ = writer.write_all(render_close_response(&response).as_bytes());
+    let _ = write_response(&mut conn, &response, false, shared);
 }
 
 // ---------------------------------------------------------------------
-// Request routing shared by both front ends.
+// Request routing.
 // ---------------------------------------------------------------------
 
 fn serve_error_status(e: &ServeError) -> &'static str {
@@ -806,155 +793,4 @@ fn render_infer_result(result: InferenceResult) -> Response {
         Ok(resp) => Response::json("200 OK", render_infer_ok(&resp)),
         Err(e) => Response::error(serve_error_status(&e), &e.to_string()),
     }
-}
-
-// ---------------------------------------------------------------------
-// Legacy thread-per-connection front end (the load-generator baseline).
-// ---------------------------------------------------------------------
-
-fn spawn_legacy_acceptor(
-    listener: TcpListener,
-    gateway: Arc<Gateway>,
-    config: HttpConfig,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut workers: Vec<JoinHandle<()>> = Vec::new();
-        while !stop.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_read_timeout(config.read_timeout);
-                    let _ = stream.set_write_timeout(config.write_timeout);
-                    let gw = gateway.clone();
-                    workers.push(std::thread::spawn(move || handle_connection(stream, &gw)));
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                Err(_) => break,
-            }
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-    })
-}
-
-fn render_close_response(response: &Response) -> String {
-    format!(
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        response.status,
-        response.content_type,
-        response.body.len(),
-        response.body
-    )
-}
-
-fn handle_connection(stream: TcpStream, gateway: &Gateway) {
-    let peer = stream.try_clone();
-    let Ok(mut writer) = peer else { return };
-    let response = match read_one_request(stream) {
-        Err(resp) => resp,
-        Ok((method, path, body)) => {
-            if method == "POST" && path == "/infer" {
-                match parse_infer_body(&body) {
-                    Err((status, msg)) => Response::error(status, &msg),
-                    Ok((model, input)) => match gateway.infer(&model, input) {
-                        Ok(resp) => Response::json("200 OK", render_infer_ok(&resp)),
-                        Err(e) => Response::error(serve_error_status(&e), &e.to_string()),
-                    },
-                }
-            } else {
-                route_get(gateway, &method, &path)
-            }
-        }
-    };
-    gateway
-        .metrics()
-        .counter("optimus_http_requests_total", &[("code", response.code())])
-        .inc();
-    let _ = writer.write_all(render_close_response(&response).as_bytes());
-}
-
-/// Read one blocking `Connection: close` style request (request line,
-/// headers, `Content-Length` body). Malformed or timed-out requests
-/// produce an error response instead of a silently dropped connection.
-fn read_one_request(stream: TcpStream) -> Result<(String, String, Vec<u8>), Response> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    match reader.read_line(&mut request_line) {
-        Err(e) if is_timeout(&e) => {
-            return Err(Response::error(
-                "408 Request Timeout",
-                "timed out reading request line",
-            ))
-        }
-        Err(_) => {
-            return Err(Response::error(
-                "400 Bad Request",
-                "empty or unreadable request line",
-            ))
-        }
-        Ok(_) => {}
-    }
-    if request_line.trim().is_empty() {
-        return Err(Response::error(
-            "400 Bad Request",
-            "empty or unreadable request line",
-        ));
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-    if method.is_empty() || path.is_empty() {
-        return Err(Response::error("400 Bad Request", "malformed request line"));
-    }
-    // Headers (we only need Content-Length).
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = line.trim();
-                if line.is_empty() {
-                    break;
-                }
-                if let Some(v) = line
-                    .to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                    .map(str::trim)
-                    .and_then(|v| v.parse::<usize>().ok())
-                {
-                    content_length = v;
-                }
-            }
-            Err(e) if is_timeout(&e) => {
-                return Err(Response::error(
-                    "408 Request Timeout",
-                    "timed out reading headers",
-                ))
-            }
-            Err(_) => return Err(Response::error("400 Bad Request", "unreadable headers")),
-        }
-    }
-    let mut body = vec![0u8; content_length.min(16 * 1024 * 1024)];
-    if content_length > 0 {
-        match reader.read_exact(&mut body) {
-            Err(e) if is_timeout(&e) => {
-                return Err(Response::error(
-                    "408 Request Timeout",
-                    "timed out reading body",
-                ))
-            }
-            Err(_) => {
-                return Err(Response::error(
-                    "400 Bad Request",
-                    "body shorter than content-length",
-                ))
-            }
-            Ok(()) => {}
-        }
-    }
-    Ok((method, path, body))
 }

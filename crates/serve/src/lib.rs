@@ -55,7 +55,7 @@ pub use api::{
     DecodeResponse, GatewayConfig, InferenceResponse, ServeError, ServedStart, ServingConfig,
 };
 pub use gateway::{Gateway, GatewayBuilder, InferenceResult, PendingDecode, PendingInference};
-pub use http::{FrontendMode, HttpConfig, HttpServer};
+pub use http::{HttpConfig, HttpServer};
 
 // Re-exported so serving deployments can configure and read the weight
 // store without depending on `optimus-store` directly.

@@ -151,8 +151,7 @@ impl WorkerStore {
         self.model_chunks
             .entry(id)
             .or_insert_with(|| {
-                repo.model_name_of(id)
-                    .and_then(|name| repo.model(&name))
+                repo.model_by_id(id)
                     .map(|m| model_chunks(&m, chunk_bytes))
                     .unwrap_or_default()
                     .into()
@@ -619,7 +618,7 @@ fn speculate_one(
     };
     let target_info = state.repo.model_name_of(dst).and_then(|name| {
         let cold = state.repo.load_cost(&name)?;
-        let target = state.repo.model(&name)?;
+        let target = state.repo.model_by_id(dst)?;
         Some((cold, target))
     });
     let (Some((cold_cost, target)), Some(confidence)) = (target_info, ps.confidence(dst.index()))
@@ -754,7 +753,7 @@ fn obtain_container(
         });
     }
     let target = repo
-        .model(name)
+        .model_by_id(model_id)
         .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
     let now = Instant::now();
     // Idle donors, longest-idle first (§4.2). Speculated containers are

@@ -181,36 +181,42 @@ fn fragmented_writes_parse_into_one_request() {
 
 #[test]
 fn oversized_headers_get_431_and_oversized_bodies_413() {
-    let gw = gateway(ServingConfig::default());
-    let server = HttpServer::serve_with(
-        gw,
-        0,
-        HttpConfig {
-            max_header_bytes: 512,
-            max_body_bytes: 1024,
-            ..HttpConfig::default()
-        },
-    )
-    .expect("binds");
-    let addr = server.addr();
+    // Once through the worker pool, once with no connection budget at
+    // all, so every exchange lands on the overflow ops lane: the lane
+    // that runs when the gateway is saturated enforces the same limits.
+    for max_connections in [HttpConfig::default().max_connections, 0] {
+        let gw = gateway(ServingConfig::default());
+        let server = HttpServer::serve_with(
+            gw,
+            0,
+            HttpConfig {
+                max_connections,
+                max_header_bytes: 512,
+                max_body_bytes: 1024,
+                ..HttpConfig::default()
+            },
+        )
+        .expect("binds");
+        let addr = server.addr();
 
-    let huge_header = format!(
-        "GET /models HTTP/1.1\r\nX-Junk: {}\r\n\r\n",
-        "j".repeat(2048)
-    );
-    let (status, _) = oneshot(addr, &huge_header);
-    assert!(status.contains("431"), "{status}");
+        let huge_header = format!(
+            "GET /healthz HTTP/1.1\r\nX-Junk: {}\r\n\r\n",
+            "j".repeat(2048)
+        );
+        let (status, _) = oneshot(addr, &huge_header);
+        assert!(status.contains("431"), "{status} at {max_connections}");
 
-    // The header alone is rejected: no body bytes are ever sent.
-    let huge_body =
-        "POST /infer HTTP/1.1\r\nHost: t\r\nContent-Length: 1048576\r\n\r\n".to_string();
-    let (status, _) = oneshot(addr, &huge_body);
-    assert!(status.contains("413"), "{status}");
+        // The header alone is rejected: no body bytes are ever sent.
+        let huge_body =
+            "POST /infer HTTP/1.1\r\nHost: t\r\nContent-Length: 1048576\r\n\r\n".to_string();
+        let (status, _) = oneshot(addr, &huge_body);
+        assert!(status.contains("413"), "{status} at {max_connections}");
 
-    // The server is still healthy afterwards.
-    let (status, _) = oneshot(addr, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-    assert!(status.contains("200"), "{status}");
-    server.shutdown();
+        // The server is still healthy afterwards.
+        let (status, _) = oneshot(addr, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(status.contains("200"), "{status} at {max_connections}");
+        server.shutdown();
+    }
 }
 
 #[test]

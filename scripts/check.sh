@@ -16,9 +16,6 @@ cargo test -q --workspace
 echo "== sweep byte-identity (sequential vs 2/8 threads) =="
 cargo test -q -p optimus-bench --test sweep_identity
 
-echo "== sim event-loop bench smoke (small config) =="
-cargo bench -p optimus-bench --bench sim_event_loop -- --small
-
 echo "== exp_plan_warmup (small CI config) =="
 cargo run --release -q -p optimus-bench --bin exp_plan_warmup -- --small
 
@@ -42,9 +39,6 @@ cargo run --release -q -p optimus-bench --bin exp_catalog_scale -- --small
 
 echo "== exp_llm_transform (small CI config, decoder transformation checks) =="
 cargo run --release -q -p optimus-bench --bin exp_llm_transform -- --small --threads 2
-
-echo "== decide-path bench smoke (small config) =="
-cargo bench -p optimus-bench --bench decide_path -- --small
 
 echo "== benchmark output checks (quick: every replay valid, first/last replay byte-identical, start-kind shares, measured boots warm) =="
 benchmark/run.sh --quick --workload sim_replay_full

@@ -16,7 +16,4 @@ for exp in "${EXPS[@]}"; do
   ./target/release/exp_"${exp}" | tee "logs/exp_${exp}.log"
 done
 
-echo "== criterion micro-benchmarks =="
-cargo bench -p optimus-bench | tee logs/criterion.log
-
 echo "all experiments regenerated; see results/ and logs/"

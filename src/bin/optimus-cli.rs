@@ -6,9 +6,10 @@
 //! optimus-cli plan <src> <dst> [munkres]   plan a transformation
 //! optimus-cli matrix <m1> <m2> [...]       transformation-latency matrix
 //! optimus-cli dot <model>                  Graphviz DOT of a model graph
-//! optimus-cli snapshot <m1,m2,...> <path>  register models, persist the
-//!                                          plan cache to a JSON file
-//! optimus-cli snapshot-info <path>         summarise a persisted snapshot
+//! optimus-cli snapshot <m1,m2,...> <path>  register models, write the plan
+//!                                          artifact `serve --plan-cache`
+//!                                          boots from
+//! optimus-cli snapshot-info <path>         summarise a plan artifact
 //! optimus-cli trace <path> [--workload poisson|azure] [--functions N]
 //!                  [--rate R] [--duration S] [--seed K]
 //!                                          generate a workload trace JSON
@@ -32,9 +33,11 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use optimus::core::{GroupPlanner, ModelRepository, MunkresPlanner, Planner};
+use optimus::core::{
+    GroupPlanner, ModelRepository, MunkresPlanner, PlanArtifactView, Planner, PLAN_ARTIFACT_VERSION,
+};
 use optimus::model::{ModelGraph, ModelStats};
-use optimus::profile::{CostModel, CostProvider};
+use optimus::profile::{CostModel, CostProvider, COST_MODEL_VERSION};
 use optimus::sim::{PlacementStrategy, Platform, Policy, SimConfig, StartKind};
 use optimus::workload::{AzureTraceGenerator, PoissonGenerator, Trace};
 
@@ -269,40 +272,40 @@ fn cmd_snapshot(models_csv: &str, path: &str) -> Result<(), String> {
         .map(|name| build(name.trim()))
         .collect::<Result<Vec<_>, _>>()?;
     repo.register_all(models, &cost);
-    let snap = repo.snapshot();
-    let json = snap.to_json();
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
+    let artifact = repo.export_plan_artifact();
+    let bytes = artifact.to_bytes();
+    std::fs::write(path, &bytes).map_err(|e| format!("writing {path}: {e}"))?;
     println!(
-        "persisted {} models and {} cached plans ({} bytes) to {path}",
-        snap.models.len(),
-        snap.plans.len(),
-        json.len()
+        "persisted {} cached plans over {} models ({} bytes) to {path}",
+        artifact.len(),
+        repo.model_count(),
+        bytes.len()
     );
     Ok(())
 }
 
 fn cmd_snapshot_info(path: &str) -> Result<(), String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let snap = optimus::core::RepositorySnapshot::from_json(&json).map_err(|e| e.to_string())?;
-    let repo = ModelRepository::restore(snap, Box::new(GroupPlanner)).map_err(|e| e.to_string())?;
-    println!("snapshot {path}:");
-    for name in repo.model_names() {
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let size = bytes.len();
+    let view = PlanArtifactView::from_bytes(bytes).map_err(|e| e.to_string())?;
+    println!(
+        "plan artifact {path}: format version {PLAN_ARTIFACT_VERSION}, \
+         cost model version {COST_MODEL_VERSION}, {} plans, {size} bytes",
+        view.len()
+    );
+    for (src_hash, dst_hash) in view.keys() {
+        let plan = view
+            .get(src_hash, dst_hash)
+            .map_err(|e| e.to_string())?
+            .expect("key comes from the index");
         println!(
-            "  {:<28} load {:.3} s",
-            name,
-            repo.load_cost(&name).unwrap_or(0.0)
+            "  {:<28} -> {:<28} {:>5} steps  {:.3} s",
+            plan.src_model,
+            plan.dst_model,
+            plan.steps.len(),
+            plan.cost.total()
         );
     }
-    let names = repo.model_names();
-    let mut transforms = 0;
-    for a in &names {
-        for b in &names {
-            if a != b && repo.plan(a, b).is_some() {
-                transforms += 1;
-            }
-        }
-    }
-    println!("  {} cached transformation plans", transforms);
     Ok(())
 }
 
