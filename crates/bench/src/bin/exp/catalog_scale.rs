@@ -1,7 +1,7 @@
 //! Plan-cache behaviour at 10k-model catalog scale.
 //!
 //! The sharded, persistent plan cache exists for exactly three promises,
-//! and this experiment machine-checks all of them:
+//! and this experiment claims all of them:
 //!
 //! 1. **Flat decide path** — request-time `decide` p99 must not grow with
 //!    the catalog: one shard read lock, one vector index, one small map
@@ -23,16 +23,18 @@
 //! Catalogs are NASBench-201 cells ([`optimus_zoo::nasbench`], a 15 625
 //! architecture space), registered with `PlanScope::Window` — the
 //! neighbourhood planning mode that keeps 10k-model registration
-//! tractable. Run with `--small` for the CI smoke configuration.
+//! tractable.
 
 use std::time::Instant;
 
-use optimus_bench::{fmt_s, print_table, save_results};
+use optimus_bench::{fmt_s, print_table};
 use optimus_core::{
     GroupPlanner, ModelRepository, MunkresPlanner, PlanArtifactView, PlanScope, Planner,
 };
-use optimus_model::ModelGraph;
+use optimus_model::{ModelGraph, ModelId};
 use optimus_profile::CostModel;
+
+use crate::{Args, Claims, Outcome};
 
 /// Neighbourhood width for windowed registration.
 const WINDOW: usize = 4;
@@ -107,19 +109,24 @@ fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
+/// The ids of `catalog(n)`'s models in `repo`.
+fn catalog_ids(repo: &ModelRepository, n: usize) -> Vec<ModelId> {
+    (0..n)
+        .map(|i| {
+            let name = format!(
+                "nasbench-{:05}",
+                i as u64 % optimus_zoo::NASBENCH_SPACE_SIZE
+            );
+            repo.model_id(&name).expect("registered model resolves")
+        })
+        .collect()
+}
+
 /// p99 of per-call `decide_by_id` latency, measured over `samples` calls
 /// in batches of 64 (amortising the timer reads below call granularity).
 fn decide_p99(repo: &ModelRepository, n: usize, samples: usize) -> f64 {
     const BATCH: usize = 64;
-    let ids: Vec<_> = (0..n)
-        .map(|i| {
-            repo.model_id(&format!(
-                "nasbench-{:05}",
-                i as u64 % optimus_zoo::NASBENCH_SPACE_SIZE
-            ))
-            .expect("registered model resolves")
-        })
-        .collect();
+    let ids = catalog_ids(repo, n);
     let mut rng = Rng(0xC0FF_EE00 ^ n as u64);
     let mut per_call = Vec::with_capacity(samples / BATCH);
     for _ in 0..samples / BATCH {
@@ -139,15 +146,7 @@ fn decide_p99(repo: &ModelRepository, n: usize, samples: usize) -> f64 {
 
 /// Multi-threaded decide throughput (ops/s) with `readers` threads.
 fn reader_throughput(repo: &ModelRepository, n: usize, readers: usize, iters: usize) -> f64 {
-    let ids: Vec<_> = (0..n)
-        .map(|i| {
-            repo.model_id(&format!(
-                "nasbench-{:05}",
-                i as u64 % optimus_zoo::NASBENCH_SPACE_SIZE
-            ))
-            .expect("registered model resolves")
-        })
-        .collect();
+    let ids = catalog_ids(repo, n);
     let t0 = Instant::now();
     crossbeam::thread::scope(|s| {
         for r in 0..readers {
@@ -165,8 +164,9 @@ fn reader_throughput(repo: &ModelRepository, n: usize, readers: usize, iters: us
     (readers * iters) as f64 / t0.elapsed().as_secs_f64()
 }
 
-fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+pub fn run(args: &Args) -> Outcome {
+    let small = args.small;
+    let mut claims = Claims::default();
     let cost = CostModel::default();
     let (sizes, warm_size, equiv_size, samples, reader_iters) = if small {
         (
@@ -205,7 +205,11 @@ fn main() {
         let artifact = repo.export_plan_artifact();
         let persisted = artifact.to_bytes();
         let (warm_repo, warm_s) = warm_boot(GroupPlanner, n, &cost, &persisted);
-        assert_eq!(warm_repo.planner_invocations(), 0, "{n}-model warm boot");
+        claims.eq(
+            format!("{n}-model warm boot never invokes the planner"),
+            warm_repo.planner_invocations(),
+            0,
+        );
         warm_not_slower &= warm_s <= cold_s;
         let bytes_per_plan = persisted.len() as f64 / artifact.len() as f64;
         rows.push(vec![
@@ -253,7 +257,7 @@ fn main() {
         sizes[0],
         if flat { "PASS" } else { "FAIL" }
     );
-    assert!(flat, "decide p99 grew with catalog size");
+    claims.check("(a) decide p99 stays flat as the catalog grows", flat, "");
 
     // Machine check (b0): at every size, booting from the artifact is no
     // slower than planning the catalog cold with the group planner.
@@ -261,9 +265,10 @@ fn main() {
         "\ncheck (b0) warm load <= cold group planning at every size: {}",
         if warm_not_slower { "PASS" } else { "FAIL" }
     );
-    assert!(
+    claims.check(
+        "(b0) a warm boot is no slower than cold group planning at every size",
         warm_not_slower,
-        "a warm boot was slower than cold group planning"
+        "",
     );
 
     // ── 2. Persisted warm-load vs cold *exact* re-planning ──────────────
@@ -290,14 +295,15 @@ fn main() {
     // small enough that fixed registration overhead blurs the ratio on a
     // loaded box, so it gets a relaxed floor; the full run holds 10×.
     let need = if small { 4.0 } else { 10.0 };
-    assert_eq!(
+    let mut ok = claims.eq(
+        "(b) warm registration never invokes the planner",
         warm_repo.planner_invocations(),
         0,
-        "warm registration must never invoke the planner"
     );
-    assert!(
-        speedup >= need,
-        "warm load only {speedup:.1}x faster than cold planning (need >= {need}x)"
+    ok &= claims.le(
+        format!("(b) warm load is at least {need}x faster than cold exact planning"),
+        need,
+        speedup,
     );
     // And the warm repository must decide exactly like the cold one.
     let probe = ["nasbench-00000", "nasbench-00001"];
@@ -305,9 +311,20 @@ fn main() {
         cold_repo.decide(probe[0], probe[1]).expect("planned pair"),
         warm_repo.decide(probe[0], probe[1]).expect("planned pair"),
     );
-    assert_eq!(c.is_transform(), w.is_transform());
-    assert_eq!(c.latency().to_bits(), w.latency().to_bits());
-    println!("check (b) warm restart: PASS");
+    ok &= claims.eq(
+        "(b) warm and cold repositories agree on transform vs load",
+        c.is_transform(),
+        w.is_transform(),
+    );
+    ok &= claims.eq(
+        "(b) warm and cold repositories price the probe bit-identically",
+        c.latency().to_bits(),
+        w.latency().to_bits(),
+    );
+    println!(
+        "check (b) warm restart: {}",
+        if ok { "PASS" } else { "FAIL" }
+    );
 
     // ── 3. Decisions are bit-identical across shard counts ──────────────
     let shard_counts = [1usize, 4, 16, 64];
@@ -339,7 +356,11 @@ fn main() {
     let mut identical = true;
     for &k in &shard_counts[1..] {
         repo = repo.with_shards(k);
-        assert_eq!(repo.shard_count(), k);
+        claims.eq(
+            format!("with_shards({k}) yields {k} shards"),
+            repo.shard_count(),
+            k,
+        );
         identical &= decisions(&repo) == baseline;
     }
     println!(
@@ -348,9 +369,10 @@ fn main() {
         pair_sample.len(),
         if identical { "PASS" } else { "FAIL" }
     );
-    assert!(
+    claims.check(
+        "(c) decisions are bit-identical across shard counts",
         identical,
-        "sharded decisions diverged from the single-map baseline"
+        "",
     );
 
     // ── 4. Reader throughput vs shard count ─────────────────────────────
@@ -366,13 +388,8 @@ fn main() {
     }
     print_table(&["Shards", "Throughput"], &trows);
 
-    save_results(
-        if small {
-            "exp_catalog_scale_small"
-        } else {
-            "exp_catalog_scale"
-        },
-        &serde_json::json!({
+    Outcome {
+        results: serde_json::json!({
             "config": if small { "small" } else { "full" },
             "available_parallelism": threads(),
             "window": WINDOW,
@@ -391,5 +408,6 @@ fn main() {
                 "throughput": sweep_json,
             },
         }),
-    );
+        claims,
+    }
 }

@@ -3,7 +3,7 @@
 //! Sweeps a seeded fault-rate grid (`optimus-faults`) across OpenWhisk,
 //! Pagurus, Tetris and Optimus and reports how service time degrades as
 //! node crashes, container kills, transform failures and store-transport
-//! stragglers are injected. Three invariants are machine-checked:
+//! stragglers are injected. Three invariants are claimed:
 //!
 //! 1. **Safeguard under failure** — at every fault rate, the per-request
 //!    audit margin `max_over_cold` stays ≤ 1e-6: an Optimus request with
@@ -16,46 +16,27 @@
 //!    contract).
 //! 3. **Determinism** — re-running the highest-rate Optimus cell yields
 //!    a byte-identical report (same seed ⇒ same injections ⇒ same JSON).
-//!
-//! Optional args: `--small` (CI configuration), `--threads <n>`
-//! (byte-identical output at any thread count), `--duration <seconds>`,
-//! `--seed <n>`.
 
-use optimus_bench::sweep::{run_grid, threads_arg};
-use optimus_bench::{build_repo, figure13_models, fmt_s, print_table, save_results};
+use optimus_bench::sweep::run_grid;
+use optimus_bench::{fmt_s, print_table};
 use optimus_faults::{FaultPlan, FaultSpec};
-use optimus_model::ModelGraph;
 use optimus_profile::Environment;
-use optimus_sim::{Platform, Policy, SimConfig};
+use optimus_sim::{Platform, Policy, SimConfig, SimReport};
 use optimus_workload::{rates, AzureTraceGenerator, PoissonGenerator, Trace};
 
-fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+use crate::{figure13_repo, verdict, Args, Claims, Outcome};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let small = args.iter().any(|a| a == "--small");
-    let threads = threads_arg(&args);
-    let seed: u64 = arg(&args, "--seed", 42);
+pub fn run(args: &Args) -> Outcome {
+    let small = args.small;
+    let seed = args.seed.unwrap_or(42);
     let (catalog_size, default_duration, fault_rates): (usize, f64, Vec<f64>) = if small {
         (10, 2_400.0, vec![0.0, 0.05, 0.2])
     } else {
         (usize::MAX, 14_400.0, vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.2])
     };
-    let duration: f64 = arg(&args, "--duration", default_duration);
+    let duration = args.duration.unwrap_or(default_duration);
 
-    let models: Vec<ModelGraph> = figure13_models().into_iter().take(catalog_size).collect();
-    let names: Vec<String> = models.iter().map(|m| m.name().to_string()).collect();
-    eprintln!(
-        "registering {} models and computing plan cache...",
-        names.len()
-    );
-    let repo = build_repo(models, Environment::Cpu);
+    let (names, repo) = figure13_repo(catalog_size, Environment::Cpu);
     let trace: Trace = if small {
         PoissonGenerator::new(rates::MIDDLE, duration, seed).generate(&names)
     } else {
@@ -67,6 +48,13 @@ fn main() {
     };
     let plan_for = |rate: f64| -> Option<FaultPlan> {
         (rate > 0.0).then(|| FaultPlan::from_spec(FaultSpec::uniform(seed, rate)))
+    };
+    let optimus_with = |faults: Option<FaultPlan>| {
+        let config = SimConfig {
+            faults,
+            ..base.clone()
+        };
+        Platform::new(config, Policy::Optimus, repo.clone()).run(&trace)
     };
 
     println!(
@@ -82,14 +70,14 @@ fn main() {
     let cells: Vec<(usize, Policy)> = (0..fault_rates.len())
         .flat_map(|r| Policy::ALL.iter().map(move |&p| (r, p)))
         .collect();
-    let reports = run_grid(&cells, threads, |&(r, policy)| {
+    let reports = run_grid(&cells, args.threads, |&(r, policy)| {
         let config = SimConfig {
             faults: plan_for(fault_rates[r]),
             ..base.clone()
         };
         Platform::new(config, policy, repo.clone()).run(&trace)
     });
-    let report_at = |r: usize, policy: Policy| -> &optimus_sim::SimReport {
+    let report_at = |r: usize, policy: Policy| -> &SimReport {
         let p = Policy::ALL
             .iter()
             .position(|&x| x == policy)
@@ -97,6 +85,8 @@ fn main() {
         &reports[r * Policy::ALL.len() + p]
     };
 
+    let mut claims = Claims::default();
+    let mut safeguard_ok = true;
     let mut rows = Vec::new();
     let mut stat_rows = Vec::new();
     let mut sweep_json = Vec::new();
@@ -126,10 +116,10 @@ fn main() {
         let optimus = report_at(r, Policy::Optimus);
         let openwhisk = report_at(r, Policy::OpenWhisk);
         if let Some(fr) = optimus.faults {
-            assert!(
-                fr.max_over_cold <= 1e-6,
-                "rate {rate}: safeguard violated, margin over cold = {}",
-                fr.max_over_cold
+            safeguard_ok &= claims.le(
+                format!("rate {rate}: no Optimus start costs more than its cold start"),
+                fr.max_over_cold,
+                1e-6,
             );
             let s = fr.stats;
             stat_rows.push(vec![
@@ -148,9 +138,10 @@ fn main() {
             optimus.percentile_service_time(99.0),
             openwhisk.percentile_service_time(99.0),
         );
-        assert!(
-            opt_p99 <= ow_p99 + 1e-9,
-            "rate {rate}: Optimus p99 {opt_p99} exceeds OpenWhisk cold-start p99 {ow_p99}"
+        safeguard_ok &= claims.le(
+            format!("rate {rate}: Optimus p99 at or below OpenWhisk's"),
+            opt_p99,
+            ow_p99 + 1e-9,
         );
         sweep_json.push(serde_json::json!({
             "fault_rate": rate,
@@ -184,49 +175,39 @@ fn main() {
     );
 
     // ── Invariant 2: quiet-plan identity ────────────────────────────────
-    let quiet = Platform::new(
-        SimConfig {
-            faults: Some(FaultPlan::from_spec(FaultSpec::off(seed))),
-            ..base.clone()
-        },
-        Policy::Optimus,
-        repo.clone(),
-    )
-    .run(&trace);
+    let quiet = optimus_with(Some(FaultPlan::from_spec(FaultSpec::off(seed))));
     let baseline = report_at(0, Policy::Optimus);
-    assert_eq!(
-        serde_json::to_string(&quiet.records).expect("serializes"),
-        serde_json::to_string(&baseline.records).expect("serializes"),
-        "a zero-rate fault plan must reproduce the fault-free run byte-identically"
+    let ok = claims.check(
+        "a zero-rate fault plan reproduces the fault-free run byte-identically",
+        serde_json::to_string(&quiet.records).expect("serializes")
+            == serde_json::to_string(&baseline.records).expect("serializes"),
+        "",
     );
-    println!("\nquiet-plan identity: OK (zero-rate plan == no plan, byte-identical records)");
+    println!(
+        "\nquiet-plan identity: {} (zero-rate plan == no plan, byte-identical records)",
+        verdict(ok)
+    );
 
     // ── Invariant 3: determinism of the faulted cells ───────────────────
     let last = fault_rates.len() - 1;
-    let rerun = Platform::new(
-        SimConfig {
-            faults: plan_for(fault_rates[last]),
-            ..base.clone()
-        },
-        Policy::Optimus,
-        repo.clone(),
-    )
-    .run(&trace);
-    assert_eq!(
-        serde_json::to_string(&rerun).expect("serializes"),
-        serde_json::to_string(report_at(last, Policy::Optimus)).expect("serializes"),
-        "same seed must give a byte-identical chaos report"
+    let rerun = optimus_with(plan_for(fault_rates[last]));
+    let ok = claims.check(
+        "same seed gives a byte-identical chaos report",
+        serde_json::to_string(&rerun).expect("serializes")
+            == serde_json::to_string(report_at(last, Policy::Optimus)).expect("serializes"),
+        "",
     );
-    println!("determinism: OK (highest-rate Optimus cell re-ran byte-identically)");
-    println!("safeguard: OK (Optimus p99 <= OpenWhisk p99 at every fault rate)");
+    println!(
+        "determinism: {} (highest-rate Optimus cell re-ran byte-identically)",
+        verdict(ok)
+    );
+    println!(
+        "safeguard: {} (Optimus p99 <= OpenWhisk p99 at every fault rate)",
+        verdict(safeguard_ok)
+    );
 
-    save_results(
-        if small {
-            "exp_chaos_small"
-        } else {
-            "exp_chaos"
-        },
-        &serde_json::json!({
+    Outcome {
+        results: serde_json::json!({
             "config": if small { "small" } else { "full" },
             "seed": seed,
             "duration_s": duration,
@@ -235,5 +216,6 @@ fn main() {
             "fault_rates": fault_rates,
             "sweep": sweep_json,
         }),
-    );
+        claims,
+    }
 }

@@ -14,8 +14,8 @@
 //! 1. **Static plan accounting** — the weight-side chunk split
 //!    (`plan_chunks`) and the state-side KV plan (`plan_kv_transform`)
 //!    between the sibling pair, with their partition invariants
-//!    machine-checked: transformation must move strictly fewer bytes
-//!    than a scratch load at any tier.
+//!    claimed: transformation must move strictly fewer bytes than a
+//!    scratch load at any tier.
 //! 2. **Tier-ladder sweep** — OpenWhisk vs Optimus on the same decode
 //!    trace (sibling warm-up heartbeats, then a target burst) across
 //!    several remote-bandwidth ladders, with `llm: Some(..)` so every
@@ -25,32 +25,23 @@
 //! 3. **Regression guards** — `llm: None` output carries no `llm` key
 //!    and reruns byte-identically, and the whole sweep is byte-identical
 //!    at any `--threads` value.
-//!
-//! Run with `--small` for the CI configuration.
 
 use std::collections::{HashMap, HashSet};
 
-use optimus_bench::sweep::{run_grid, threads_arg};
-use optimus_bench::{fmt_s, print_table, save_results};
+use optimus_bench::sweep::run_grid;
+use optimus_bench::{fmt_s, print_table};
 use optimus_core::{plan_chunks, plan_kv_transform, GroupPlanner, Planner};
 use optimus_model::KvCache;
 use optimus_profile::CostModel;
 use optimus_sim::{
     LlmConfig, PlacementStrategy, Platform, Policy, SimConfig, SimReport, StartKind, StoreConfig,
-    TierParams,
 };
 use optimus_store::model_chunks;
 use optimus_workload::{Invocation, Trace};
 use optimus_zoo::{gpt, GptConfig, GptSize};
 
-/// Sorted percentile of a sample (nearest-rank on the sorted data).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
+use crate::store::with_remote_bandwidth;
+use crate::{percentile, Args, Claims, Outcome};
 
 /// The decode trace both systems serve: periodic sibling heartbeats keep
 /// its container resident (and, after the last one, idle long enough to
@@ -116,10 +107,10 @@ fn target_view(report: &SimReport, target: &str, prefill_iter: f64) -> TargetVie
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let small = args.iter().any(|a| a == "--small");
-    let threads = threads_arg(&args);
+pub fn run(args: &Args) -> Outcome {
+    let small = args.small;
+    let threads = args.threads;
+    let mut claims = Claims::default();
 
     // The sibling pair shares every weight except the positional table
     // (the context axis); the decoy pads the catalog so planning runs on
@@ -151,9 +142,10 @@ fn main() {
     let llm = LlmConfig::default();
     let burst_n = llm.max_batch; // one continuously-batched target wave
 
-    assert!(
+    claims.check(
+        "LLM serving is opt-in: the default sim config is single-forward-pass",
         SimConfig::default().llm.is_none(),
-        "LLM serving must stay opt-in: default sim config is single-forward-pass"
+        "",
     );
 
     // ── 1. Static plan accounting ───────────────────────────────────────
@@ -175,12 +167,23 @@ fn main() {
         .collect();
     let fetched_ids: HashSet<_> = split.fetched.iter().map(|c| c.id).collect();
     let reused_ids: HashSet<_> = split.reused.iter().map(|c| c.id).collect();
-    assert!(fetched_ids.is_disjoint(&reused_ids));
+    claims.check(
+        "fetched and reused chunk ids are disjoint",
+        fetched_ids.is_disjoint(&reused_ids),
+        format!(
+            "{} ids both fetched and reused",
+            fetched_ids.intersection(&reused_ids).count()
+        ),
+    );
     let union: HashSet<_> = fetched_ids.union(&reused_ids).copied().collect();
-    assert_eq!(
-        union,
-        dst_unique.keys().copied().collect::<HashSet<_>>(),
-        "fetched + reused chunks must cover the destination exactly"
+    claims.check(
+        "fetched + reused chunks cover the destination exactly",
+        union == dst_unique.keys().copied().collect::<HashSet<_>>(),
+        format!(
+            "{} ids in the split vs {} in the destination",
+            union.len(),
+            dst_unique.len()
+        ),
     );
     let unique_total: u64 = dst_unique.values().sum();
     let reused_unique: u64 = dst_unique
@@ -188,13 +191,15 @@ fn main() {
         .filter(|(id, _)| reused_ids.contains(id))
         .map(|(_, b)| b)
         .sum();
-    assert_eq!(split.fetched_bytes() + reused_unique, unique_total);
-    assert!(
-        split.fetched_bytes() < unique_total,
-        "transformation must move strictly fewer bytes than a scratch load: \
-         {} fetched vs {} total",
+    claims.eq(
+        "fetched + reused bytes sum to the destination's unique bytes",
+        split.fetched_bytes() + reused_unique,
+        unique_total,
+    );
+    claims.lt(
+        "transformation moves strictly fewer bytes than a scratch load",
         split.fetched_bytes(),
-        unique_total
+        unique_total,
     );
 
     // State side: the KV cache of a fully-filled sibling context carries
@@ -203,17 +208,27 @@ fn main() {
     let dst_kv = target_cfg.kv_spec();
     let cache = KvCache::filled(src_kv, src_kv.context);
     let kv = plan_kv_transform(&cache, &dst_kv);
-    assert_eq!(kv.carried_bytes + kv.materialized_bytes, dst_kv.byte_size());
-    assert_eq!(kv.carried_bytes + kv.dropped_bytes, cache.live_bytes());
-    assert!(
+    claims.eq(
+        "KV carried + materialized bytes fill the destination cache",
+        kv.carried_bytes + kv.materialized_bytes,
+        dst_kv.byte_size(),
+    );
+    claims.eq(
+        "KV carried + dropped bytes account for the source's live state",
+        kv.carried_bytes + kv.dropped_bytes,
+        cache.live_bytes(),
+    );
+    claims.check(
+        "context siblings share KV rows",
         src_kv.row_compatible(&dst_kv),
-        "context siblings share rows"
+        "",
     );
-    assert_eq!(
-        kv.carried, src_kv.context,
-        "a wider window carries all state"
+    claims.eq(
+        "a wider window carries all state",
+        kv.carried,
+        src_kv.context,
     );
-    assert_eq!(kv.dropped_bytes, 0);
+    claims.eq("a wider window drops no state", kv.dropped_bytes, 0);
 
     let gib = |b: u64| format!("{:.3} GiB", b as f64 / (1u64 << 30) as f64);
     println!(
@@ -276,13 +291,7 @@ fn main() {
             let config = SimConfig {
                 nodes: 1,
                 placement: PlacementStrategy::Hash,
-                store: Some(StoreConfig {
-                    remote: TierParams {
-                        bandwidth_bytes_per_s: bw,
-                        latency_s: StoreConfig::default().remote.latency_s,
-                    },
-                    ..StoreConfig::default()
-                }),
+                store: Some(with_remote_bandwidth(bw)),
                 llm: Some(llm),
                 ..SimConfig::default()
             };
@@ -305,27 +314,27 @@ fn main() {
         let cold_stats = cold_report.store.expect("store enabled");
         let warm_stats = warm_report.store.expect("store enabled");
 
-        // The machine-checked invariants: at every ladder the transform
-        // path serves the burst with strictly lower p99 TTFT and strictly
-        // fewer bytes admitted into containers than the cold path.
-        assert!(cold.transform == 0, "OpenWhisk never transforms");
-        assert!(
-            warm.transform >= 1,
-            "Optimus transforms the idle sibling at {bw} B/s"
-        );
-        assert!(
-            warm.ttft_p99 < cold.ttft_p99,
-            "transform must beat cold on target p99 TTFT at {bw} B/s: {} vs {}",
+        // At every ladder the transform path serves the burst with
+        // strictly lower p99 TTFT and strictly fewer bytes admitted into
+        // containers than the cold path.
+        let at = |claim: &str| format!("{bw} B/s: {claim}");
+        claims.eq(at("OpenWhisk never transforms"), cold.transform, 0);
+        claims.le(at("Optimus transforms the idle sibling"), 1, warm.transform);
+        claims.lt(
+            at("transform beats cold on target p99 TTFT"),
             warm.ttft_p99,
-            cold.ttft_p99
+            cold.ttft_p99,
         );
-        assert!(
-            warm_stats.admitted_bytes < cold_stats.admitted_bytes,
-            "transform must admit strictly fewer bytes at {bw} B/s: {} vs {}",
+        claims.lt(
+            at("transform admits strictly fewer bytes"),
             warm_stats.admitted_bytes,
-            cold_stats.admitted_bytes
+            cold_stats.admitted_bytes,
         );
-        assert!(warm_stats.fetched_bytes <= cold_stats.fetched_bytes);
+        claims.le(
+            at("transform fetches no more bytes than cold"),
+            warm_stats.fetched_bytes,
+            cold_stats.fetched_bytes,
+        );
 
         for (name, view, stats, report) in [
             ("OpenWhisk", &cold, cold_stats, cold_report),
@@ -389,11 +398,12 @@ fn main() {
         serde_json::to_string(&report).unwrap()
     };
     let off = legacy();
-    assert!(
+    let mut ok = claims.check(
+        "llm: None serializes exactly as before the layer existed",
         !off.contains("\"llm\""),
-        "llm: None must serialize exactly as before the layer existed"
+        "",
     );
-    assert_eq!(off, legacy(), "llm-off reruns are byte-identical");
+    ok &= claims.check("llm-off reruns are byte-identical", off == legacy(), "");
 
     // (b) The sweep itself is byte-identical at any thread count,
     // continuous batching included.
@@ -404,20 +414,17 @@ fn main() {
             .map(|r| serde_json::to_string(r).unwrap())
             .collect::<Vec<_>>()
     };
-    assert_eq!(
-        json_of(&reports),
-        json_of(&replay),
-        "sweep must be byte-identical at {threads} vs {other_threads} threads"
+    ok &= claims.check(
+        format!("the sweep is byte-identical at {threads} vs {other_threads} threads"),
+        json_of(&reports) == json_of(&replay),
+        "",
     );
-    println!("\nGuards: llm-off schema unchanged; sweep deterministic across thread counts");
+    if ok {
+        println!("\nGuards: llm-off schema unchanged; sweep deterministic across thread counts");
+    }
 
-    save_results(
-        if small {
-            "exp_llm_transform_small"
-        } else {
-            "exp_llm_transform"
-        },
-        &serde_json::json!({
+    Outcome {
+        results: serde_json::json!({
             "config": if small { "small" } else { "full" },
             "sibling": sibling_name,
             "target": target_name,
@@ -439,5 +446,6 @@ fn main() {
             "burst_requests": burst_n,
             "sweep": sweep_json,
         }),
-    );
+        claims,
+    }
 }

@@ -14,17 +14,17 @@
 //!
 //! A third section micro-benchmarks the Hungarian kernel itself (flat
 //! row-major buffer + reusable scratch).
-//!
-//! Run with `--small` for the CI configuration (tiny catalog, 2 threads).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use optimus_bench::{figure13_models, fmt_s, print_table, save_results};
+use optimus_bench::{figure13_models, fmt_s, print_table};
 use optimus_core::{solve_assignment_flat, GroupPlanner, ModelRepository, MunkresScratch};
 use optimus_model::ModelGraph;
 use optimus_profile::CostModel;
+
+use crate::{Args, Claims, Outcome};
 
 fn build_sequential(models: &[ModelGraph], cost: &CostModel) -> ModelRepository {
     let repo = ModelRepository::new(Box::new(GroupPlanner));
@@ -46,8 +46,9 @@ fn warmup_seconds(models: &[ModelGraph], cost: &CostModel, threads: usize, repea
 }
 
 /// Max `decide()` latency observed by a reader thread while a bulk
-/// registration runs concurrently; returns `(warmup_s, max_decide_s)`.
-fn reader_stall(models: &[ModelGraph], cost: &CostModel, threads: usize) -> (f64, f64) {
+/// registration runs concurrently; returns `(warmup_s, max_decide_s,
+/// pair_stayed_decidable)`.
+fn reader_stall(models: &[ModelGraph], cost: &CostModel, threads: usize) -> (f64, f64, bool) {
     // Pre-register two models so the reader has a live pair to probe.
     let repo = Arc::new(ModelRepository::new(Box::new(GroupPlanner)));
     let (probe, rest) = models.split_at(2.min(models.len()));
@@ -57,6 +58,7 @@ fn reader_stall(models: &[ModelGraph], cost: &CostModel, threads: usize) -> (f64
     let done = AtomicBool::new(false);
     let mut warmup = 0.0;
     let mut max_decide = 0.0f64;
+    let mut decidable = true;
     crossbeam::thread::scope(|s| {
         let writer = s.spawn(|_| {
             let t0 = Instant::now();
@@ -65,20 +67,20 @@ fn reader_stall(models: &[ModelGraph], cost: &CostModel, threads: usize) -> (f64
             t0.elapsed().as_secs_f64()
         });
         let reader = s.spawn(|_| {
-            let mut worst = 0.0f64;
+            let (mut worst, mut decidable) = (0.0f64, true);
             while !done.load(Ordering::Acquire) {
                 let t = Instant::now();
                 let d = repo.decide(&src, &dst);
                 worst = worst.max(t.elapsed().as_secs_f64());
-                assert!(d.is_some(), "pre-registered pair must stay decidable");
+                decidable &= d.is_some();
             }
-            worst
+            (worst, decidable)
         });
         warmup = writer.join().expect("writer");
-        max_decide = reader.join().expect("reader");
+        (max_decide, decidable) = reader.join().expect("reader");
     })
     .expect("stall probe threads");
-    (warmup, max_decide)
+    (warmup, max_decide, decidable)
 }
 
 /// Seconds per `k×k` solve.
@@ -99,8 +101,9 @@ fn kernel_bench(k: usize, solves: usize) -> f64 {
     t0.elapsed().as_secs_f64() / solves as f64
 }
 
-fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+pub fn run(args: &Args) -> Outcome {
+    let small = args.small;
+    let mut claims = Claims::default();
     let cost = CostModel::default();
     let all = figure13_models();
     let (catalog_sizes, thread_counts, repeats, kernel_dims, kernel_solves) = if small {
@@ -164,11 +167,20 @@ fn main() {
             "MISMATCH"
         }
     );
-    assert!(identical, "parallel registration diverged from sequential");
+    claims.check(
+        "parallel registration publishes the sequential plan cache",
+        identical,
+        "",
+    );
 
     // Reader stall while a warmup runs concurrently.
     let stall_threads = *thread_counts.last().unwrap();
-    let (stall_warmup, max_decide) = reader_stall(&all, &cost, stall_threads);
+    let (stall_warmup, max_decide, decidable) = reader_stall(&all, &cost, stall_threads);
+    claims.check(
+        "a pre-registered pair stays decidable during a bulk registration",
+        decidable,
+        "",
+    );
     println!(
         "decide() readers during a {:.3} s warmup: max latency {:.6} s",
         stall_warmup, max_decide
@@ -184,15 +196,8 @@ fn main() {
     }
     print_table(&["Matrix", "Solve"], &krows);
 
-    // The small CI configuration writes to its own file so a smoke run
-    // never clobbers the committed full-sweep results.
-    save_results(
-        if small {
-            "exp_plan_warmup_small"
-        } else {
-            "exp_plan_warmup"
-        },
-        &serde_json::json!({
+    Outcome {
+        results: serde_json::json!({
             "config": if small { "small" } else { "full" },
             "available_parallelism":
                 std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
@@ -205,5 +210,6 @@ fn main() {
             },
             "kernel": kernel_json,
         }),
-    );
+        claims,
+    }
 }

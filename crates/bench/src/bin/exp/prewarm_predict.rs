@@ -7,7 +7,7 @@
 //! predictor's stress case: every function's rate is strongly
 //! time-varying, so the fixed `DEFAULT_KEEP_ALIVE_S` window idles
 //! containers through the daily trough and evicts them right before
-//! arrivals return. Four invariants are machine-checked:
+//! arrivals return. Four invariants are claimed:
 //!
 //! 1. **Inert identity** — an inert predictor (adaptive keep-alive off,
 //!    speculation off) observes every arrival yet reproduces the
@@ -23,28 +23,20 @@
 //!    default predictive configuration beats the fixed-window baseline
 //!    in *both* cold-start rate and p99 service time.
 //!
-//! Optional args: `--small` (CI configuration), `--threads <n>`
-//! (byte-identical output at any thread count), `--duration <seconds>`
-//! (diurnal trace length), `--seed <n>`.
+//! `--duration` sets the diurnal trace's length.
 
-use optimus_bench::sweep::{run_grid, threads_arg};
-use optimus_bench::{build_repo, figure13_models, fmt_pct, fmt_s, print_table, save_results};
-use optimus_model::ModelGraph;
+use optimus_bench::sweep::run_grid;
+use optimus_bench::{fmt_pct, fmt_s, print_table};
 use optimus_profile::Environment;
 use optimus_sim::{
-    Platform, Policy, PredictConfig, SimConfig, SpeculationConfig, StartKind, DEFAULT_KEEP_ALIVE_S,
+    Platform, Policy, PredictConfig, SimConfig, SimReport, SpeculationConfig, StartKind,
+    DEFAULT_KEEP_ALIVE_S,
 };
 use optimus_workload::{
     rates, AzureTraceGenerator, DiurnalBurstGenerator, PoissonGenerator, Trace,
 };
 
-fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+use crate::{figure13_repo, share, verdict, Args, Claims, Outcome};
 
 /// One predictor configuration under sweep.
 #[derive(Clone, Copy)]
@@ -92,32 +84,17 @@ impl Variant {
     }
 }
 
-fn cold_rate(report: &optimus_sim::SimReport) -> f64 {
-    *report
-        .start_fractions()
-        .get(&StartKind::Cold)
-        .unwrap_or(&0.0)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let small = args.iter().any(|a| a == "--small");
-    let threads = threads_arg(&args);
-    let seed: u64 = arg(&args, "--seed", 42);
+pub fn run(args: &Args) -> Outcome {
+    let small = args.small;
+    let seed = args.seed.unwrap_or(42);
     let (catalog_size, default_diurnal_s, aggressiveness): (usize, f64, Vec<f64>) = if small {
         (10, 43_200.0, vec![1.0])
     } else {
         (usize::MAX, 172_800.0, vec![0.5, 1.0, 2.0])
     };
-    let diurnal_s: f64 = arg(&args, "--duration", default_diurnal_s);
+    let diurnal_s = args.duration.unwrap_or(default_diurnal_s);
 
-    let models: Vec<ModelGraph> = figure13_models().into_iter().take(catalog_size).collect();
-    let names: Vec<String> = models.iter().map(|m| m.name().to_string()).collect();
-    eprintln!(
-        "registering {} models and computing plan cache...",
-        names.len()
-    );
-    let repo = build_repo(models, Environment::Cpu);
+    let (names, repo) = figure13_repo(catalog_size, Environment::Cpu);
 
     // Three trace families. The diurnal generator's base rate is set so
     // trough-time gaps (rate × (1 − amplitude)) stretch past the fixed
@@ -149,39 +126,38 @@ fn main() {
         base.capacity_per_node,
         DEFAULT_KEEP_ALIVE_S
     );
+    let run_with = |predict: Option<PredictConfig>, trace: &Trace| {
+        let config = SimConfig {
+            predict,
+            ..base.clone()
+        };
+        Platform::new(config, Policy::Optimus, repo.clone()).run(trace)
+    };
 
     // One grid cell per trace × variant; results return in input order,
     // so table/JSON are byte-identical at any --threads.
     let cells: Vec<(usize, usize)> = (0..traces.len())
         .flat_map(|t| (0..variants.len()).map(move |v| (t, v)))
         .collect();
-    let reports = run_grid(&cells, threads, |&(t, v)| {
-        let config = SimConfig {
-            predict: variants[v].predict(),
-            ..base.clone()
-        };
-        Platform::new(config, Policy::Optimus, repo.clone()).run(&traces[t].1)
+    let reports = run_grid(&cells, args.threads, |&(t, v)| {
+        run_with(variants[v].predict(), &traces[t].1)
     });
-    let report_at =
-        |t: usize, v: usize| -> &optimus_sim::SimReport { &reports[t * variants.len() + v] };
+    let report_at = |t: usize, v: usize| -> &SimReport { &reports[t * variants.len() + v] };
 
+    let mut claims = Claims::default();
     let mut rows = Vec::new();
     let mut sweep_json = Vec::new();
     for (t, (trace_name, trace)) in traces.iter().enumerate() {
         let mut per_variant = serde_json::Map::new();
         for (v, variant) in variants.iter().enumerate() {
             let report = report_at(t, v);
+            let cold_rate = share(report, StartKind::Cold);
             rows.push(vec![
                 trace_name.to_string(),
                 variant.name(),
                 report.len().to_string(),
-                fmt_pct(cold_rate(report)),
-                fmt_pct(
-                    *report
-                        .start_fractions()
-                        .get(&StartKind::Warm)
-                        .unwrap_or(&0.0),
-                ),
+                fmt_pct(cold_rate),
+                fmt_pct(share(report, StartKind::Warm)),
                 fmt_s(report.avg_service_time()),
                 fmt_s(report.percentile_service_time(99.0)),
                 match &report.predict {
@@ -198,22 +174,23 @@ fn main() {
                 "p99".to_string(),
                 serde_json::json!(report.percentile_service_time(99.0)),
             );
-            cell.insert(
-                "cold_rate".to_string(),
-                serde_json::json!(cold_rate(report)),
-            );
+            cell.insert("cold_rate".to_string(), serde_json::json!(cold_rate));
             cell.insert("requests".to_string(), serde_json::json!(report.len()));
             if let Some(p) = &report.predict {
+                let at = format!("{trace_name}/{}", variant.name());
                 // ── Invariant 3: bounded misprediction cost ─────────────
                 if p.speculations > 0 {
-                    assert!(
-                        p.max_spec_over_budget < 0.0,
-                        "{trace_name}/{}: speculation exceeded its cold-start budget: {}",
-                        variant.name(),
-                        p.max_spec_over_budget
+                    claims.lt(
+                        format!("{at}: no speculation exceeds its cold-start budget"),
+                        p.max_spec_over_budget,
+                        0.0,
                     );
                 }
-                assert_eq!(p.observed_arrivals, trace.len() as u64);
+                claims.eq(
+                    format!("{at}: the predictor observes every arrival"),
+                    p.observed_arrivals,
+                    trace.len() as u64,
+                );
                 cell.insert(
                     "predict".to_string(),
                     serde_json::json!({
@@ -246,40 +223,33 @@ fn main() {
 
     // ── Invariant 1: inert identity ─────────────────────────────────────
     let diurnal_idx = traces.len() - 1;
-    let inert = Platform::new(
-        SimConfig {
-            predict: Some(PredictConfig::inert()),
-            ..base.clone()
-        },
-        Policy::Optimus,
-        repo.clone(),
-    )
-    .run(&traces[diurnal_idx].1);
+    let diurnal = &traces[diurnal_idx].1;
+    let inert = run_with(Some(PredictConfig::inert()), diurnal);
     let fixed = report_at(diurnal_idx, 0);
-    assert_eq!(
-        serde_json::to_string(&inert.records).expect("serializes"),
-        serde_json::to_string(&fixed.records).expect("serializes"),
-        "an inert predictor must reproduce the prediction-less run byte-identically"
+    let ok = claims.check(
+        "an inert predictor reproduces the prediction-less run byte-identically",
+        serde_json::to_string(&inert.records).expect("serializes")
+            == serde_json::to_string(&fixed.records).expect("serializes"),
+        "",
     );
-    println!("\ninert identity: OK (inert predictor == predict off, byte-identical records)");
+    println!(
+        "\ninert identity: {} (inert predictor == predict off, byte-identical records)",
+        verdict(ok)
+    );
 
     // ── Invariant 2: determinism ────────────────────────────────────────
     let last_v = variants.len() - 1;
-    let rerun = Platform::new(
-        SimConfig {
-            predict: variants[last_v].predict(),
-            ..base.clone()
-        },
-        Policy::Optimus,
-        repo.clone(),
-    )
-    .run(&traces[diurnal_idx].1);
-    assert_eq!(
-        serde_json::to_string(&rerun).expect("serializes"),
-        serde_json::to_string(report_at(diurnal_idx, last_v)).expect("serializes"),
-        "same trace must give a byte-identical predictive report"
+    let rerun = run_with(variants[last_v].predict(), diurnal);
+    let ok = claims.check(
+        "the same trace gives a byte-identical predictive report",
+        serde_json::to_string(&rerun).expect("serializes")
+            == serde_json::to_string(report_at(diurnal_idx, last_v)).expect("serializes"),
+        "",
     );
-    println!("determinism: OK (most aggressive diurnal cell re-ran byte-identically)");
+    println!(
+        "determinism: {} (most aggressive diurnal cell re-ran byte-identically)",
+        verdict(ok)
+    );
 
     // ── Invariant 4: prediction wins on the diurnal trace ───────────────
     let default_spec = variants
@@ -287,39 +257,40 @@ fn main() {
         .position(|v| matches!(v, Variant::Speculative(a) if *a == 1.0))
         .expect("default aggressiveness in sweep");
     let predictive = report_at(diurnal_idx, default_spec);
-    let (fixed_cold, pred_cold) = (cold_rate(fixed), cold_rate(predictive));
+    let (fixed_cold, pred_cold) = (
+        share(fixed, StartKind::Cold),
+        share(predictive, StartKind::Cold),
+    );
     let (fixed_p99, pred_p99) = (
         fixed.percentile_service_time(99.0),
         predictive.percentile_service_time(99.0),
     );
-    assert!(
-        pred_cold < fixed_cold,
-        "diurnal: predictive cold-start rate {pred_cold} must beat fixed {fixed_cold}"
-    );
-    assert!(
-        pred_p99 < fixed_p99,
-        "diurnal: predictive p99 {pred_p99} must beat fixed {fixed_p99}"
+    let ok = claims.lt(
+        "diurnal: the predictive cold-start rate beats the fixed window",
+        pred_cold,
+        fixed_cold,
+    ) & claims.lt(
+        "diurnal: the predictive p99 beats the fixed window",
+        pred_p99,
+        fixed_p99,
     );
     println!(
-        "prediction: OK (diurnal cold rate {} -> {}, p99 {} -> {})",
+        "prediction: {} (diurnal cold rate {} -> {}, p99 {} -> {})",
+        verdict(ok),
         fmt_pct(fixed_cold),
         fmt_pct(pred_cold),
         fmt_s(fixed_p99),
         fmt_s(pred_p99)
     );
 
-    save_results(
-        if small {
-            "exp_prewarm_predict_small"
-        } else {
-            "exp_prewarm_predict"
-        },
-        &serde_json::json!({
+    Outcome {
+        results: serde_json::json!({
             "config": if small { "small" } else { "full" },
             "seed": seed,
             "functions": names.len(),
             "fixed_keep_alive_s": DEFAULT_KEEP_ALIVE_S,
             "sweep": sweep_json,
         }),
-    );
+        claims,
+    }
 }

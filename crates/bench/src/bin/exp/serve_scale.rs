@@ -16,7 +16,7 @@
 //! second of wall clock), p50/p99/p999 latency over successful requests,
 //! and the 429 count.
 //!
-//! Machine-checked:
+//! Claimed:
 //! * bookkeeping — every scheduled request is accounted for
 //!   (`sent == ok + rejected + errors`), and no connection is ever
 //!   dropped (`errors == 0`);
@@ -25,25 +25,18 @@
 //!   stays bounded (no unbounded queue growth);
 //! * (full run only) repeatability — a repeat of the peak point
 //!   reproduces its goodput within noise bounds.
-//!
-//! Optional args: `--small` (CI configuration), `--duration <seconds>`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use optimus_bench::{print_table, save_results};
+use optimus_bench::print_table;
 use optimus_model::{Activation, GraphBuilder, ModelGraph};
 use optimus_serve::{Gateway, GatewayConfig, HttpServer, MetricsRegistry, ServingConfig};
+use serde::Serialize;
 
-fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+use crate::{Args, Claims, Outcome};
 
 /// Tiny CNN with a 4-logit head: the pooled head keeps the response
 /// JSON small so the experiment measures the front end, not float
@@ -59,24 +52,17 @@ fn tiny(name: &str, out_ch: usize) -> ModelGraph {
     b.finish().unwrap()
 }
 
-/// One trajectory point: `conns` client connections offering `offered`
-/// requests per second in aggregate.
-#[derive(Clone, Copy)]
-struct Point {
-    conns: usize,
-    offered: f64,
-}
-
-#[derive(Clone)]
+/// One measured point; serializes as one `trajectory` entry.
+#[derive(Clone, Serialize)]
 struct PointResult {
     conns: usize,
-    offered: f64,
+    offered_rps: f64,
     sent: usize,
     ok: usize,
-    rejected: usize,
+    rejected_429: usize,
     errors: usize,
     elapsed_s: f64,
-    goodput: f64,
+    goodput_rps: f64,
     // Latency from the *scheduled* send time (open loop, corrected for
     // coordinated omission): a front end that falls behind accumulates
     // its backlog into this tail.
@@ -156,12 +142,13 @@ fn infer_request(model: &str, keep_alive: bool) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Drive one trajectory point: `conns` client threads, each sending its
-/// share of the offered rate on a fixed open-loop schedule. Requests
-/// alternate between the two registered models so both serving nodes see
-/// traffic and the batching window has same-model runs to group.
-fn run_point(addr: SocketAddr, point: Point, duration: f64) -> PointResult {
-    let per_conn = point.offered / point.conns as f64;
+/// Drive one trajectory point: `conns` client threads offering `offered`
+/// requests per second in aggregate, each sending its share on a fixed
+/// open-loop schedule. Requests alternate between the two registered
+/// models so both serving nodes see traffic and the batching window has
+/// same-model runs to group.
+fn run_point(addr: SocketAddr, conns: usize, offered: f64, duration: f64) -> PointResult {
+    let per_conn = offered / conns as f64;
     let interval = Duration::from_secs_f64(1.0 / per_conn);
     let requests_per_conn = ((duration * per_conn).round() as usize).max(1);
     // Pre-rendered request bytes (one per model) shared by every client.
@@ -169,10 +156,10 @@ fn run_point(addr: SocketAddr, point: Point, duration: f64) -> PointResult {
 
     let start = Instant::now() + Duration::from_millis(50);
     let mut clients = Vec::new();
-    for conn_id in 0..point.conns {
+    for conn_id in 0..conns {
         let raw = raw.clone();
         // Stagger connection phases so aggregate arrivals are even.
-        let phase = interval.mul_f64(conn_id as f64 / point.conns as f64);
+        let phase = interval.mul_f64(conn_id as f64 / conns as f64);
         clients.push(std::thread::spawn(move || {
             let mut samples: Vec<(u16, f64, f64)> = Vec::with_capacity(requests_per_conn);
             let mut errors = 0usize;
@@ -242,14 +229,14 @@ fn run_point(addr: SocketAddr, point: Point, duration: f64) -> PointResult {
         lat[idx] * 1e3
     };
     PointResult {
-        conns: point.conns,
-        offered: point.offered,
-        sent: point.conns * requests_per_conn,
+        conns,
+        offered_rps: offered,
+        sent: conns * requests_per_conn,
         ok,
-        rejected,
+        rejected_429: rejected,
         errors: errors + other,
         elapsed_s: elapsed,
-        goodput: ok as f64 / elapsed,
+        goodput_rps: ok as f64 / elapsed,
         p50_ms: pct(&sched, 0.50),
         p99_ms: pct(&sched, 0.99),
         p999_ms: pct(&sched, 0.999),
@@ -283,51 +270,21 @@ fn start_server(serving: ServingConfig) -> (Arc<Gateway>, HttpServer) {
     (gw, server)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let small = args.iter().any(|a| a == "--small");
-    let default_duration = if small { 0.5 } else { 1.0 };
-    let duration: f64 = arg(&args, "--duration", default_duration);
+pub fn run(args: &Args) -> Outcome {
+    let small = args.small;
+    let duration = args.duration.unwrap_or(if small { 0.5 } else { 1.0 });
     // The trajectory ramps connections and offered rate together; the
     // final point offers more than the front end can serve, which is
     // where admission control must take over.
-    let trajectory: Vec<Point> = if small {
-        vec![
-            Point {
-                conns: 2,
-                offered: 200.0,
-            },
-            Point {
-                conns: 4,
-                offered: 800.0,
-            },
-            Point {
-                conns: 8,
-                offered: 2_400.0,
-            },
-        ]
+    let trajectory: Vec<(usize, f64)> = if small {
+        vec![(2, 200.0), (4, 800.0), (8, 2_400.0)]
     } else {
         vec![
-            Point {
-                conns: 4,
-                offered: 400.0,
-            },
-            Point {
-                conns: 8,
-                offered: 800.0,
-            },
-            Point {
-                conns: 16,
-                offered: 2_400.0,
-            },
-            Point {
-                conns: 48,
-                offered: 6_400.0,
-            },
-            Point {
-                conns: 160,
-                offered: 9_600.0,
-            },
+            (4, 400.0),
+            (8, 800.0),
+            (16, 2_400.0),
+            (48, 6_400.0),
+            (160, 9_600.0),
         ]
     };
     // A shallow queue makes the backpressure visible at the overload
@@ -340,6 +297,7 @@ fn main() {
         max_batch_wait_us: 100,
     };
 
+    let mut claims = Claims::default();
     let mut results: Vec<PointResult> = Vec::new();
     {
         let (gw, server) = start_server(serving);
@@ -348,10 +306,10 @@ fn main() {
         // here, not inside a measured point.
         for model in ["ma", "mb"] {
             let code = oneshot_request(addr, &infer_request(model, false)).expect("warmup");
-            assert_eq!(code, 200, "warmup request for {model} failed");
+            claims.eq(format!("warmup request for {model} succeeds"), code, 200);
         }
-        for &point in &trajectory {
-            results.push(run_point(addr, point, duration));
+        for &(conns, offered) in &trajectory {
+            results.push(run_point(addr, conns, offered, duration));
             // Let queues drain between points.
             std::thread::sleep(Duration::from_millis(200));
         }
@@ -385,12 +343,12 @@ fn main() {
             .map(|r| {
                 vec![
                     r.conns.to_string(),
-                    format!("{:.0}", r.offered),
+                    format!("{:.0}", r.offered_rps),
                     r.sent.to_string(),
                     r.ok.to_string(),
-                    r.rejected.to_string(),
+                    r.rejected_429.to_string(),
                     r.errors.to_string(),
-                    format!("{:.0}", r.goodput),
+                    format!("{:.0}", r.goodput_rps),
                     fmt_ms(r.p50_ms),
                     fmt_ms(r.p99_ms),
                     fmt_ms(r.p999_ms),
@@ -400,26 +358,19 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // ── Machine checks ──────────────────────────────────────────────────
+    // ── Claims ──────────────────────────────────────────────────────────
     for r in &results {
-        assert_eq!(
+        let at = format!("{} conns / {:.0} rps", r.conns, r.offered_rps);
+        claims.eq(
+            format!("{at}: every scheduled request is accounted for"),
             r.sent,
-            r.ok + r.rejected + r.errors,
-            "{} conns / {:.0} rps: requests leaked from the bookkeeping",
-            r.conns,
-            r.offered
+            r.ok + r.rejected_429 + r.errors,
         );
-        assert!(
-            r.ok > 0,
-            "{} conns / {:.0} rps served nothing",
-            r.conns,
-            r.offered
-        );
-        assert_eq!(
-            r.errors, 0,
-            "the front end dropped {} requests at {} conns / {:.0} rps: \
-             persistent connections must never be dropped",
-            r.errors, r.conns, r.offered
+        claims.lt(format!("{at}: serves something"), 0, r.ok);
+        claims.eq(
+            format!("{at}: persistent connections are never dropped"),
+            r.errors,
+            0,
         );
     }
 
@@ -430,11 +381,11 @@ fn main() {
         "\nat overload ({} conns, {:.0} offered/s): {:.0} req/s, p99 {:.0} ms, \
          rtt p99 {:.0} ms, {} rejected",
         overload.conns,
-        overload.offered,
-        overload.goodput,
+        overload.offered_rps,
+        overload.goodput_rps,
         overload.p99_ms,
         overload.rtt_p99_ms,
-        overload.rejected
+        overload.rejected_429
     );
     if !small {
         // Backpressure: the excess must be shed with 429 and the on-wire
@@ -442,19 +393,15 @@ fn main() {
         // grow without bound. (The scheduled-time p99 grows at overload
         // for *any* front end: that is the open-loop generator's own
         // debt, not server queueing.)
-        assert!(
-            overload.rejected > 0,
-            "the overload point ({} conns / {:.0} rps offered, {:.0} served) never \
-             tripped admission control",
-            overload.conns,
-            overload.offered,
-            overload.goodput
+        claims.lt(
+            "the overload point trips admission control",
+            0,
+            overload.rejected_429,
         );
-        assert!(
-            overload.rtt_p99_ms < 500.0,
-            "on-wire p99 at overload is {:.1} ms: bounded queues must keep \
-             the admitted tail flat",
-            overload.rtt_p99_ms
+        claims.lt(
+            "bounded queues keep the admitted on-wire p99 under 500 ms at overload",
+            overload.rtt_p99_ms,
+            500.0,
         );
     }
 
@@ -471,53 +418,31 @@ fn main() {
         }
         let r = run_point(
             server.addr(),
-            Point {
-                conns: overload.conns,
-                offered: overload.offered,
-            },
+            overload.conns,
+            overload.offered_rps,
             duration,
         );
         server.shutdown();
         drop(gw);
-        let lo = overload.goodput.min(r.goodput);
-        let hi = overload.goodput.max(r.goodput);
-        assert!(
-            hi / lo < 2.0,
-            "goodput did not reproduce: {:.0} vs {:.0} req/s on rerun",
-            overload.goodput,
-            r.goodput
+        let lo = overload.goodput_rps.min(r.goodput_rps);
+        let hi = overload.goodput_rps.max(r.goodput_rps);
+        claims.lt(
+            "overload goodput reproduces on a fresh server within 2x",
+            hi / lo,
+            2.0,
         );
         println!(
             "repeat of the overload point: {:.0} req/s, rtt p99 {:.2} ms",
-            r.goodput, r.rtt_p99_ms
+            r.goodput_rps, r.rtt_p99_ms
         );
         Some(r)
     };
 
-    let point_json = |r: &PointResult| {
-        serde_json::json!({
-            "conns": r.conns,
-            "offered_rps": r.offered,
-            "sent": r.sent,
-            "ok": r.ok,
-            "rejected_429": r.rejected,
-            "errors": r.errors,
-            "elapsed_s": r.elapsed_s,
-            "goodput_rps": r.goodput,
-            "p50_ms": r.p50_ms,
-            "p99_ms": r.p99_ms,
-            "p999_ms": r.p999_ms,
-            "rtt_p50_ms": r.rtt_p50_ms,
-            "rtt_p99_ms": r.rtt_p99_ms,
-        })
-    };
-    save_results(
-        if small {
-            "bench_serve_small"
-        } else {
-            "bench_serve"
-        },
-        &serde_json::json!({
+    if claims.all_hold() {
+        println!("\nall serve-scale checks passed");
+    }
+    Outcome {
+        results: serde_json::json!({
             "config": if small { "small" } else { "full" },
             "duration_s": duration,
             "serving": {
@@ -525,9 +450,9 @@ fn main() {
                 "max_batch": serving.max_batch,
                 "max_batch_wait_us": serving.max_batch_wait_us,
             },
-            "trajectory": results.iter().map(point_json).collect::<Vec<_>>(),
-            "repeat": repeat.as_ref().map(point_json),
+            "trajectory": results,
+            "repeat": repeat,
         }),
-    );
-    println!("\nall serve-scale checks passed");
+        claims,
+    }
 }

@@ -10,32 +10,29 @@
 //!    content-addressed one stores once.
 //! 2. **Tier monotonicity** — price one model's chunk set at every
 //!    residency tier of a [`NodeStore`] (remote → node disk → node
-//!    memory → container) and assert the load latency strictly decreases
+//!    memory → container) and claim the load latency strictly decreases
 //!    as residency warms.
 //! 3. **Remote-bandwidth sweep** — run the Optimus policy on a Poisson
 //!    workload with the store enabled at several remote bandwidths,
 //!    against the byte-agnostic baseline (`store: None`), reporting
-//!    load-latency percentiles and the fleet dedup ratio.
-//!
-//! Run with `--small` for the CI configuration; `--threads <n>` runs the
-//! bandwidth sweep cells in parallel (byte-identical output at any
-//! thread count).
+//!    load-latency percentiles and the fleet dedup ratio. `--threads` runs
+//!    the sweep cells in parallel.
 
-use optimus_bench::sweep::{run_grid, threads_arg};
-use optimus_bench::{figure11_models, fmt_s, print_table, save_results};
+use optimus_bench::sweep::run_grid;
+use optimus_bench::{figure11_models, fmt_s, print_table};
 use optimus_model::ModelGraph;
 use optimus_profile::Environment;
-use optimus_sim::{Platform, Policy, SimConfig, TierParams};
+use optimus_sim::{Platform, Policy, SimConfig, SimReport};
 use optimus_store::{model_chunks, ChunkRef, ChunkSet, NodeStore, StoreConfig};
 use optimus_workload::{rates, PoissonGenerator};
 
-/// Sorted percentile of a sample (nearest-rank on the sorted data).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
+use crate::{percentile, Args, Claims, Outcome};
+
+/// The default store with its remote tier at `bw` bytes/s.
+pub fn with_remote_bandwidth(bw: f64) -> StoreConfig {
+    let mut store = StoreConfig::default();
+    store.remote.bandwidth_bytes_per_s = bw;
+    store
 }
 
 /// Load latency of `chunks` at each tier of a default-config store,
@@ -63,10 +60,8 @@ fn tier_chain(chunks: &[ChunkRef]) -> Vec<(&'static str, f64)> {
     ]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let small = args.iter().any(|a| a == "--small");
-    let threads = threads_arg(&args);
+pub fn run(args: &Args) -> Outcome {
+    let small = args.small;
     let all = figure11_models();
     let (catalog_size, duration, bandwidths) = if small {
         (4usize, 1_200.0, vec![100.0e6])
@@ -76,9 +71,11 @@ fn main() {
     let models: Vec<ModelGraph> = all.into_iter().take(catalog_size).collect();
     let chunk_bytes = StoreConfig::default().chunk_bytes;
 
-    assert!(
+    let mut claims = Claims::default();
+    claims.check(
+        "the store is opt-in: the default sim config is byte-agnostic",
         SimConfig::default().store.is_none(),
-        "the store must stay opt-in: default sim config is byte-agnostic"
+        "",
     );
 
     // ── 1. Catalog dedup ────────────────────────────────────────────────
@@ -93,38 +90,28 @@ fn main() {
     with_plans.extend(&plan_payload);
     let combined_ratio = with_plans.dedup_ratio();
     println!("Content-addressed catalog ({} models)\n", models.len());
+    let mib = |bytes: u64| format!("{:.1} MiB", bytes as f64 / (1 << 20) as f64);
     print_table(
         &["Corpus", "Referenced", "Unique", "Dedup"],
         &[
             vec![
                 "models only".to_string(),
-                format!(
-                    "{:.1} MiB",
-                    catalog.logical_bytes() as f64 / (1 << 20) as f64
-                ),
-                format!(
-                    "{:.1} MiB",
-                    catalog.unique_bytes() as f64 / (1 << 20) as f64
-                ),
+                mib(catalog.logical_bytes()),
+                mib(catalog.unique_bytes()),
                 format!("{catalog_ratio:.3}x"),
             ],
             vec![
                 "models + plan payloads".to_string(),
-                format!(
-                    "{:.1} MiB",
-                    with_plans.logical_bytes() as f64 / (1 << 20) as f64
-                ),
-                format!(
-                    "{:.1} MiB",
-                    with_plans.unique_bytes() as f64 / (1 << 20) as f64
-                ),
+                mib(with_plans.logical_bytes()),
+                mib(with_plans.unique_bytes()),
                 format!("{combined_ratio:.3}x"),
             ],
         ],
     );
-    assert!(
-        combined_ratio > 1.0,
-        "plan payloads duplicate catalog tensors: dedup must exceed 1.0"
+    claims.lt(
+        "plan payloads duplicate catalog tensors: combined dedup exceeds 1.0",
+        1.0,
+        combined_ratio,
     );
 
     // ── 2. Tier monotonicity ────────────────────────────────────────────
@@ -140,16 +127,10 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     for pair in chain.windows(2) {
-        assert!(
-            pair[0].1 > pair[1].1,
-            "{} ({} s) must load slower than {} ({} s)",
-            pair[0].0,
-            pair[0].1,
-            pair[1].0,
-            pair[1].1
-        );
+        let ((colder, a), (warmer, b)) = (pair[0], pair[1]);
+        claims.lt(format!("{colder} loads slower than {warmer}"), b, a);
     }
-    assert_eq!(chain[3].1, 0.0, "container residency is free to read");
+    claims.eq("container residency is free to read", chain[3].1, 0.0);
 
     // ── 3. Remote-bandwidth sweep under the Optimus policy ──────────────
     let functions: Vec<String> = models.iter().map(|m| m.name().to_string()).collect();
@@ -157,16 +138,8 @@ fn main() {
     // Cell 0 is the byte-agnostic baseline, then one cell per remote
     // bandwidth; results return in input order at any thread count.
     let mut sweep_cells: Vec<Option<StoreConfig>> = vec![None];
-    sweep_cells.extend(bandwidths.iter().map(|&bw| {
-        Some(StoreConfig {
-            remote: TierParams {
-                bandwidth_bytes_per_s: bw,
-                latency_s: StoreConfig::default().remote.latency_s,
-            },
-            ..StoreConfig::default()
-        })
-    }));
-    let mut reports = run_grid(&sweep_cells, threads, |store: &Option<StoreConfig>| {
+    sweep_cells.extend(bandwidths.iter().map(|&bw| Some(with_remote_bandwidth(bw))));
+    let mut reports = run_grid(&sweep_cells, args.threads, |store: &Option<StoreConfig>| {
         let config = SimConfig {
             store: *store,
             ..SimConfig::default()
@@ -174,9 +147,14 @@ fn main() {
         Platform::new(config, Policy::Optimus, repo.clone()).run(&trace)
     })
     .into_iter();
+    // Load p50 / p95 / p99 of one run.
+    let load_quantiles = |report: &SimReport| {
+        let mut loads: Vec<f64> = report.records.iter().map(|r| r.load).collect();
+        loads.sort_by(f64::total_cmp);
+        [0.50, 0.95, 0.99].map(|q| percentile(&loads, q))
+    };
     let baseline = reports.next().expect("baseline cell ran");
-    let mut baseline_loads: Vec<f64> = baseline.records.iter().map(|r| r.load).collect();
-    baseline_loads.sort_by(f64::total_cmp);
+    let [b50, b95, b99] = load_quantiles(&baseline);
     println!(
         "\nOptimus on Poisson λ=10⁻²·⁵ ({} requests, {} functions)\n",
         baseline.records.len(),
@@ -184,29 +162,27 @@ fn main() {
     );
     let mut rows = vec![vec![
         "byte-agnostic (no store)".to_string(),
-        fmt_s(percentile(&baseline_loads, 0.50)),
-        fmt_s(percentile(&baseline_loads, 0.95)),
-        fmt_s(percentile(&baseline_loads, 0.99)),
+        fmt_s(b50),
+        fmt_s(b95),
+        fmt_s(b99),
         "-".to_string(),
     ]];
     let mut sweep_json = Vec::new();
-    for &bw in &bandwidths {
-        let report = reports.next().expect("bandwidth cell ran");
-        let mut loads: Vec<f64> = report.records.iter().map(|r| r.load).collect();
-        loads.sort_by(f64::total_cmp);
+    for (&bw, report) in bandwidths.iter().zip(reports) {
+        let [p50, p95, p99] = load_quantiles(&report);
         let stats = report.store.expect("store enabled");
         rows.push(vec![
             format!("remote {:.0} MB/s", bw / 1e6),
-            fmt_s(percentile(&loads, 0.50)),
-            fmt_s(percentile(&loads, 0.95)),
-            fmt_s(percentile(&loads, 0.99)),
+            fmt_s(p50),
+            fmt_s(p95),
+            fmt_s(p99),
             format!("{:.3}x", stats.dedup_ratio),
         ]);
         sweep_json.push(serde_json::json!({
             "remote_bandwidth_bytes_per_s": bw,
-            "load_p50_s": percentile(&loads, 0.50),
-            "load_p95_s": percentile(&loads, 0.95),
-            "load_p99_s": percentile(&loads, 0.99),
+            "load_p50_s": p50,
+            "load_p95_s": p95,
+            "load_p99_s": p99,
             "dedup_ratio": stats.dedup_ratio,
             "chunk_hits": stats.hits,
             "chunk_misses": stats.misses,
@@ -219,13 +195,8 @@ fn main() {
         &rows,
     );
 
-    save_results(
-        if small {
-            "exp_store_small"
-        } else {
-            "exp_store"
-        },
-        &serde_json::json!({
+    Outcome {
+        results: serde_json::json!({
             "config": if small { "small" } else { "full" },
             "catalog_models": models.len(),
             "chunk_bytes": chunk_bytes,
@@ -237,9 +208,10 @@ fn main() {
                 .map(|(tier, s)| serde_json::json!({ "tier": tier, "load_s": s }))
                 .collect::<Vec<_>>(),
             "sweep": sweep_json,
-            "baseline_load_p50_s": percentile(&baseline_loads, 0.50),
-            "baseline_load_p95_s": percentile(&baseline_loads, 0.95),
-            "baseline_load_p99_s": percentile(&baseline_loads, 0.99),
+            "baseline_load_p50_s": b50,
+            "baseline_load_p95_s": b95,
+            "baseline_load_p99_s": b99,
         }),
-    );
+        claims,
+    }
 }

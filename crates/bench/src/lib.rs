@@ -1,27 +1,12 @@
 //! # optimus-bench — experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (run with
-//! `cargo run --release -p optimus-bench --bin exp_<id>`), plus Criterion
-//! micro-benchmarks of the hot paths (`cargo bench`).
-//!
-//! | Binary       | Reproduces |
-//! |--------------|------------|
-//! | `exp_fig2`   | Figure 2 — request processing time & breakdown        |
-//! | `exp_fig3`   | Figure 3 — model loading step latencies (100 models)  |
-//! | `exp_fig4`   | Figure 4 — per-operation loading latency in ResNet50  |
-//! | `exp_fig5`   | Figure 5 — strawman: weight swap & CONV scaling matrix|
-//! | `exp_fig8`   | Figure 8 — meta-operator execution times              |
-//! | `exp_fig11`  | Figure 11 — 21×21 transformation-latency matrix       |
-//! | `exp_fig12`  | Figure 12 — 500-case transformation vs loading        |
-//! | `exp_fig13`  | Figure 13 — average service time, 4 systems × 4 loads |
-//! | `exp_fig14`  | Figure 14 — cold/transform/warm start percentages     |
-//! | `exp_fig15`  | Figure 15 — meta-operator latency proportions         |
-//! | `exp_table1` | Table 1 — planning & execution latency, 2 planners    |
-//! | `exp_fig16`  | Figure 16 — GPU-server average service time           |
-//!
-//! Every experiment is seeded and deterministic; each prints a
-//! paper-style table to stdout and appends machine-readable JSON to
-//! `results/<exp>.json` when a `results/` directory exists.
+//! Shared catalogs, workloads and formatting for the `exp` runner, which
+//! reproduces every table and figure of the paper's evaluation plus the
+//! ablations and extensions (`cargo run --release -p optimus-bench --bin
+//! exp -- --list` names them; `exp <name>` runs one). Every experiment is
+//! seeded and deterministic; each prints a paper-style table to stdout and
+//! writes machine-readable JSON to `results/exp_<name>.json` when a
+//! `results/` directory exists.
 
 pub mod sweep;
 
@@ -30,7 +15,6 @@ use std::sync::Arc;
 use optimus_core::{GroupPlanner, ModelRepository, Planner};
 use optimus_model::ModelGraph;
 use optimus_profile::{CostModel, CostProvider};
-use optimus_sim::{Platform, Policy, SimConfig};
 use optimus_workload::{AzureTraceGenerator, PoissonGenerator, Trace};
 
 /// The 21 representative models of Figure 11: 16 CNNs across six families
@@ -133,21 +117,6 @@ pub fn workloads(functions: &[String], duration: f64, seed: u64) -> Vec<(String,
     ]
 }
 
-/// Run all four systems on a trace; returns `(policy, report)` pairs.
-pub fn run_all_policies(
-    config: &SimConfig,
-    repo: &Arc<ModelRepository>,
-    trace: &Trace,
-) -> Vec<(Policy, optimus_sim::SimReport)> {
-    Policy::ALL
-        .iter()
-        .map(|&policy| {
-            let platform = Platform::new(config.clone(), policy, repo.clone());
-            (policy, platform.run(trace))
-        })
-        .collect()
-}
-
 /// Transformation latency between two already-built models under the
 /// group planner + safeguard (the Figure 11 cell value).
 pub fn transform_latency(src: &ModelGraph, dst: &ModelGraph, cost: &CostModel) -> f64 {
@@ -182,20 +151,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     println!("{}", "-".repeat(total));
     for row in rows {
         line(row);
-    }
-}
-
-/// Append a JSON results blob to `results/<name>.json` if `results/`
-/// exists (next to the workspace root); silently skip otherwise.
-pub fn save_results(name: &str, value: &serde_json::Value) {
-    let dir = std::path::Path::new("results");
-    if dir.is_dir() {
-        let path = dir.join(format!("{name}.json"));
-        if let Err(e) = std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("results written to {}", path.display());
-        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! is the output. [`run_grid`] guarantees that: results come back in
 //! input order regardless of which worker ran which cell and in what
 //! interleaving, so the assembled JSON is byte-identical to a sequential
-//! run at any `--threads` value.
+//! run at any `exp --threads` value.
 //!
 //! Work distribution is a shared atomic cursor (no channels, no work
 //! items larger than an index), and workers are scoped threads borrowing
@@ -56,24 +56,6 @@ where
         .collect()
 }
 
-/// Parse the shared `--threads <n>` experiment flag (default 1, i.e.
-/// sequential; `0` means one worker per available CPU core).
-pub fn threads_arg(args: &[String]) -> usize {
-    let n: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    if n == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,14 +85,5 @@ mod tests {
         let seq: Vec<u64> = cells.iter().map(|&c| (0..c).sum()).collect();
         let par = run_grid(&cells, 4, |&c| (0..c).sum::<u64>());
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn threads_arg_parses() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_arg(&args(&["exp", "--threads", "4"])), 4);
-        assert_eq!(threads_arg(&args(&["exp"])), 1);
-        assert_eq!(threads_arg(&args(&["exp", "--threads", "bogus"])), 1);
-        assert!(threads_arg(&args(&["exp", "--threads", "0"])) >= 1);
     }
 }

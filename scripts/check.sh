@@ -16,29 +16,15 @@ cargo test -q --workspace
 echo "== sweep byte-identity (sequential vs 2/8 threads) =="
 cargo test -q -p optimus-bench --test sweep_identity
 
-echo "== exp_plan_warmup (small CI config) =="
-cargo run --release -q -p optimus-bench --bin exp_plan_warmup -- --small
-
-echo "== exp_store (small CI config, parallel sweep) =="
-cargo run --release -q -p optimus-bench --bin exp_store -- --small --threads 2
-
-echo "== exp_chaos (small CI config, fault-injection sweep) =="
-cargo run --release -q -p optimus-bench --bin exp_chaos -- --small --threads 2
-
-echo "== exp_scale_out (small CI config, elastic multicast sweep) =="
-cargo run --release -q -p optimus-bench --bin exp_scale_out -- --small --threads 2
-
-echo "== exp_serve_scale (small CI config, live serving front-end trajectory) =="
-cargo run --release -q -p optimus-bench --bin exp_serve_scale -- --small
-
-echo "== exp_prewarm_predict (small CI config, arrival-prediction sweep) =="
-cargo run --release -q -p optimus-bench --bin exp_prewarm_predict -- --small --threads 2
-
-echo "== exp_catalog_scale (small CI config, sharded plan-cache checks) =="
-cargo run --release -q -p optimus-bench --bin exp_catalog_scale -- --small
-
-echo "== exp_llm_transform (small CI config, decoder transformation checks) =="
-cargo run --release -q -p optimus-bench --bin exp_llm_transform -- --small --threads 2
+echo "== every experiment (exp <name> --small, --threads 2 where read; non-zero on any failed claim) =="
+cargo build --release -q -p optimus-bench --bin exp
+exp=./target/release/exp
+"$exp" --list | while read -r name flags; do
+  args=(--small)
+  case " $flags " in *" --threads "*) args+=(--threads 2) ;; esac
+  echo "-- exp $name ${args[*]}"
+  "$exp" "$name" "${args[@]}" </dev/null
+done
 
 echo "== benchmark output checks (quick: every replay valid, first/last replay byte-identical, start-kind shares, measured boots warm) =="
 benchmark/run.sh --quick --workload sim_replay_full

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate every table/figure of the paper plus the ablations and
-# extensions, writing JSON results into results/ and logs into logs/.
+# extensions at full size, writing JSON results into results/ and logs into
+# logs/. Exits non-zero if any experiment's claims fail.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results logs
@@ -8,12 +9,10 @@ mkdir -p results logs
 echo "== building (release) =="
 cargo build --release --workspace
 
-EXPS=(fig2 fig3 fig4 fig5 fig8 fig11 fig12 fig13 fig14 fig15 table1 fig16 \
-      ablation_planner ablation_safeguard ablation_balancer \
-      ablation_thresholds ablation_memory ext_prewarm plan_warmup store)
-for exp in "${EXPS[@]}"; do
-  echo "== exp_${exp} =="
-  ./target/release/exp_"${exp}" | tee "logs/exp_${exp}.log"
+exp=./target/release/exp
+"$exp" --list | while read -r name _; do
+  echo "== exp $name =="
+  "$exp" "$name" </dev/null | tee "logs/exp_${name}.log"
 done
 
 echo "all experiments regenerated; see results/ and logs/"
